@@ -2,62 +2,30 @@
 
 #include <algorithm>
 #include <memory>
-#include <queue>
 #include <utility>
 
 #include "recshard/base/logging.hh"
-#include "recshard/base/stats.hh"
 #include "recshard/core/pipeline.hh"
-#include "recshard/routing/router.hh"
-#include "recshard/serving/node.hh"
+#include "recshard/routing/des.hh"
 
 namespace recshard {
 
 namespace {
 
-constexpr std::uint32_t kNoNode = 0xffffffffu;
-
-enum class EventKind { Arrival, Completion, MigrationFinish,
-                       MigrationKick };
-
-/** One scheduled event of the virtual-time loop. */
-struct Event
-{
-    double time = 0.0;
-    std::uint64_t seq = 0; //!< insertion order, breaks time ties
-    EventKind kind = EventKind::Arrival;
-    std::uint64_t query = 0;
-    std::uint32_t node = kNoNode;
-};
-
-struct EventLater
-{
-    bool
-    operator()(const Event &a, const Event &b) const
-    {
-        return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-};
-
-struct QueryState
-{
-    std::uint32_t node = kNoNode;
-    bool shed = false;
-    std::uint32_t tier = 0;
-    std::uint32_t keptSamples = 0;
-};
-
 /** One node's feedback-loop state. */
 struct NodeReplan
 {
-    NodeReplan(const ModelSpec &model, const SketchConfig &sketch,
-               const DriftConfig &drift)
-        : profiler(model, sketch), detector(drift)
+    NodeReplan(const ModelSpec &model, const SystemSpec &system,
+               const ReplanConfig &cfg)
+        : profiler(model, cfg.sketch), detector(cfg.drift),
+          cost(system)
     {
     }
 
     LiveProfiler profiler;
     DriftDetector detector;
+    /** Prices migration steps on this node. */
+    EmbCostModel cost;
     /** In-flight migration; null while the incumbent fits. */
     std::unique_ptr<PlanMigration> migration;
     /** Plan adopted when the migration's last step commits. */
@@ -67,6 +35,330 @@ struct NodeReplan
     /** Earliest virtual time the next step may start. */
     double nextStepOk = 0.0;
 };
+
+/** One serve() call: the serving kernel plus the replan loop. */
+class ReplanRun final : public ServingKernel
+{
+  public:
+    /**
+     * @param plans     Live per-node plans (borrowed; a completed
+     *                  migration reassigns its node's entry).
+     * @param resolvers Live per-node resolvers (borrowed; mutated
+     *                  by every migration commit).
+     */
+    ReplanRun(const ModelSpec &model, const RoutingCluster &cluster,
+              const ReplanConfig &config, const RoutedTrace &trace,
+              std::vector<ShardingPlan> &plans,
+              std::vector<std::vector<TierResolver>> &resolvers)
+        : ServingKernel(model, cluster, plans, resolvers, trace,
+                        config.policy, config.localityLoadPenalty,
+                        config.overload, config.server,
+                        config.slaSeconds),
+          cfg(config), livePlans(plans), liveResolvers(resolvers),
+          epochWindow(
+              std::max<std::uint64_t>(2 * cfg.epochQueries, 64))
+    {
+        rs.reserve(cluster.numNodes());
+        for (std::uint32_t n = 0; n < cluster.numNodes(); ++n)
+            rs.emplace_back(model, cluster.nodeSystem(n), cfg);
+        r.name = cfg.replanEnabled ? "live-replan" : "static-plan";
+        epoch.startTime = firstArrival;
+    }
+
+    /** Close the books after run(). */
+    ReplanReport finish();
+
+  private:
+    bool
+    mayDispatch(std::uint32_t n) const override
+    {
+        // An in-flight step owns the node's GPUs; the head-of-line
+        // query waits at most that one step.
+        return !rs[n].stepInFlight;
+    }
+
+    void
+    onDispatch(std::uint32_t n, std::uint64_t query,
+               const NodeDispatch &d) override
+    {
+        // Feed the feedback loop at dispatch: the sketch sees the
+        // lookups actually executed (degraded prefix included), the
+        // detector the dispatch's tier split.
+        rs[n].profiler.observeQuery(trace.queries[query],
+                                    state[query].keptSamples);
+        rs[n].detector.observe(d.hbmAccesses, d.uvmAccesses,
+                               d.cacheHits);
+    }
+
+    void
+    onArrival(std::uint64_t query, std::uint32_t n,
+              double now) override
+    {
+        if (state[query].shed) {
+            ++epoch.shed;
+            if (rs[n].migration)
+                ++r.shedDuringMigration;
+        }
+        if (++epoch.arrivals == cfg.epochQueries) {
+            closeEpoch(now);
+            for (std::uint32_t m = 0; m < rs.size(); ++m)
+                maybeReplan(m, now);
+        }
+    }
+
+    void
+    onServed(const Event &, double latency) override
+    {
+        epochWindow.push(latency);
+        ++epoch.served;
+        epoch.good += latency <= cfg.slaSeconds;
+    }
+
+    void
+    afterCompletion(std::uint32_t n, double now) override
+    {
+        maybeStartStep(n, now);
+    }
+
+    void onEvent(const Event &e) override;
+
+    void closeEpoch(double end);
+    void maybeStartStep(std::uint32_t n, double now);
+    void maybeReplan(std::uint32_t n, double now);
+    /** Hand node n's serving over to `plan`. */
+    void adopt(std::uint32_t n, ShardingPlan &&plan);
+
+    const ReplanConfig &cfg;
+    std::vector<ShardingPlan> &livePlans;
+    std::vector<std::vector<TierResolver>> &liveResolvers;
+    std::vector<NodeReplan> rs;
+    ReplanReport r;
+    /** The open epoch's counts; closeEpoch() seals it. */
+    ReplanEpochStats epoch;
+    // Completions land in a LatencyWindow that is reset at every
+    // boundary, so each epoch's p99 covers only its own completions.
+    LatencyWindow epochWindow;
+};
+
+void
+ReplanRun::closeEpoch(double end)
+{
+    epoch.index = r.epochs.size();
+    epoch.endTime = std::max(end, epoch.startTime);
+    epoch.goodput = epoch.endTime > epoch.startTime
+        ? static_cast<double>(epoch.good) /
+            (epoch.endTime - epoch.startTime)
+        : 0.0;
+    epoch.p99 = epoch.served ? epochWindow.quantile(0.99) : 0.0;
+    r.epochs.push_back(epoch);
+    epoch = ReplanEpochStats{};
+    epoch.startTime = r.epochs.back().endTime;
+    epoch.migrationActive = std::any_of(
+        rs.begin(), rs.end(),
+        [](const NodeReplan &nr) { return nr.stepInFlight; });
+    epochWindow.reset();
+}
+
+// Start the next migration step iff the node is fully idle: no
+// running query, no pending queries, no step already in flight, and
+// the inter-step gap elapsed. This is what subordinates migration
+// to serving — a node with any queued work never spends a second
+// migrating.
+void
+ReplanRun::maybeStartStep(std::uint32_t n, double now)
+{
+    NodeReplan &nr = rs[n];
+    if (!nr.migration || nr.migration->done() || nr.stepInFlight)
+        return;
+    if (nodes[n].busy() || nodes[n].hasPending())
+        return;
+    if (now < nr.nextStepOk) {
+        schedule(nr.nextStepOk, EventKind::MigrationKick, 0, n);
+        return;
+    }
+    nr.stepInFlight = true;
+    epoch.migrationActive = true;
+    const double dt = nr.migration->stepSeconds(nr.cost);
+    r.migrationSeconds += dt;
+    schedule(now + dt, EventKind::MigrationFinish, 0, n);
+}
+
+void
+ReplanRun::onEvent(const Event &e)
+{
+    if (e.kind == EventKind::MigrationKick) {
+        maybeStartStep(e.node, e.time);
+        return;
+    }
+    NodeReplan &nr = rs[e.node];
+    panic_if(!nr.stepInFlight || !nr.migration,
+             "migration step finished on node ", e.node,
+             " with no step in flight");
+    nr.migration->commitFront();
+    nr.stepInFlight = false;
+    nr.nextStepOk = e.time + nr.migration->minStepGapSeconds();
+    if (nr.migration->done()) {
+        r.migrationSteps += nr.migration->totalSteps();
+        r.migratedRows += nr.migration->rowsPinned() +
+            nr.migration->rowsUnpinned();
+        nr.migration.reset();
+        adopt(e.node, std::move(nr.target));
+        ++r.replansCompleted;
+    }
+    tryDispatch(e.node, e.time);
+    maybeStartStep(e.node, e.time);
+}
+
+void
+ReplanRun::adopt(std::uint32_t n, ShardingPlan &&plan)
+{
+    livePlans[n] = std::move(plan);
+    repointLocality();
+    rs[n].detector.rebaseline();
+    rs[n].profiler.decay();
+}
+
+// Epoch-boundary drift check for one node; launches at most one
+// migration per node at a time.
+void
+ReplanRun::maybeReplan(std::uint32_t n, double now)
+{
+    if (!cfg.replanEnabled || r.replansTriggered >= cfg.maxReplans)
+        return;
+    NodeReplan &nr = rs[n];
+    if (nr.migration || !nr.detector.drifted())
+        return;
+    const std::vector<std::uint32_t> &slice =
+        cluster.planSet.slices[n];
+    if (slice.empty())
+        return;
+
+    // Confirm with the planner: price the incumbent against a fresh
+    // solve of the node's slice under the live sketch profiles —
+    // the same sub-model shape solveNodePlans() used.
+    std::vector<EmbProfile> live_profiles =
+        nr.profiler.exportProfiles();
+    ModelSpec sub;
+    sub.name = model.name + "/replan" + std::to_string(n);
+    std::vector<EmbProfile> sub_profiles;
+    std::vector<TierResolver> sub_resolvers;
+    ShardingPlan sub_incumbent;
+    sub_incumbent.strategy = livePlans[n].strategy;
+    sub.features.reserve(slice.size());
+    sub_profiles.reserve(slice.size());
+    sub_resolvers.reserve(slice.size());
+    sub_incumbent.tables.reserve(slice.size());
+    for (const std::uint32_t j : slice) {
+        sub.features.push_back(model.features[j]);
+        sub_profiles.push_back(std::move(live_profiles[j]));
+        sub_resolvers.push_back(liveResolvers[n][j]);
+        sub_incumbent.tables.push_back(livePlans[n].tables[j]);
+    }
+    ++r.assessmentsRun;
+    const ReshardAssessment a = assessReshard(
+        sub, sub_profiles, cluster.nodeSystem(n), sub_incumbent,
+        sub_resolvers, cfg.solver, cfg.plannerName);
+    if (a.speedup < cfg.drift.minSpeedup) {
+        // Not worth moving rows for: accept the current hit
+        // fraction as the new normal so the (expensive) assessment
+        // does not rerun every epoch.
+        nr.detector.rebaseline();
+        return;
+    }
+
+    // Lift the fresh slice plan onto the full model, KEEPING the
+    // incumbent GPU assignment: each server's table list is fixed
+    // at construction, so only pin counts may move.
+    const std::uint32_t J = model.numFeatures();
+    ShardingPlan target = livePlans[n];
+    std::vector<FrequencyCdf> cdfs(J);
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+        const std::uint32_t j = slice[i];
+        target.tables[j].hbmRows = a.freshPlan.tables[i].hbmRows;
+        cdfs[j] = std::move(sub_profiles[i].cdf);
+        target.tables[j].hbmAccessFraction =
+            cdfs[j].accessFraction(target.tables[j].hbmRows);
+    }
+    // The fresh solve packed rows under its own GPU layout; pinning
+    // them under the incumbent layout can overflow a GPU. Trim
+    // deterministically: shrink the biggest pinned slice table on
+    // the overflowing GPU until it fits.
+    const SystemSpec &sys = cluster.nodeSystem(n);
+    for (std::uint32_t g = 0; g < sys.numGpus; ++g) {
+        for (;;) {
+            const std::uint64_t bytes = target.hbmBytesOnGpu(model, g);
+            if (bytes <= sys.hbm.capacityBytes)
+                break;
+            std::uint32_t victim = kNoNode;
+            for (const std::uint32_t j : slice)
+                if (target.tables[j].gpu == g &&
+                    target.tables[j].hbmRows > 0 &&
+                    (victim == kNoNode ||
+                     target.tables[j].hbmRows >
+                         target.tables[victim].hbmRows))
+                    victim = j;
+            panic_if(victim == kNoNode, "GPU ", g,
+                     " over HBM budget with no pinned slice table "
+                     "to trim");
+            const std::uint64_t row_bytes =
+                model.features[victim].rowBytes();
+            const std::uint64_t overflow =
+                bytes - sys.hbm.capacityBytes;
+            const std::uint64_t cut =
+                std::min(target.tables[victim].hbmRows,
+                         (overflow + row_bytes - 1) / row_bytes);
+            target.tables[victim].hbmRows -= cut;
+            target.tables[victim].hbmAccessFraction =
+                cdfs[victim].accessFraction(
+                    target.tables[victim].hbmRows);
+        }
+    }
+    auto migration = std::make_unique<PlanMigration>(
+        model, target, cdfs, slice, liveResolvers[n], cfg.migration);
+    // A tiered target describes where rows sit once the migration
+    // lands, which is no rank range of the live CDF: its per-tier
+    // access shares are left to be derived (tierAccessShares()).
+    for (const std::uint32_t j : slice) {
+        if (!target.tables[j].tiered())
+            continue;
+        target.tables[j].tierRows = migration->tierRowsAfter(j);
+        target.tables[j].tierAccessFraction.clear();
+    }
+    // Unpinned rows land in tier 1, and no trim can take them out
+    // again: a target that overflows tier 1 keeps the incumbent.
+    for (std::uint32_t g = 0; g < sys.numGpus; ++g) {
+        if (target.tierBytesOnGpu(model, g, 1) >
+            sys.tier(1).capacityBytes) {
+            nr.detector.rebaseline();
+            return;
+        }
+    }
+    target.validate(model, sys);
+    if (migration->done()) {
+        // Membership unchanged (only fractions moved): adopt the
+        // plan outright, no migration to run.
+        adopt(n, std::move(target));
+        return;
+    }
+    nr.target = std::move(target);
+    nr.migration = std::move(migration);
+    ++r.replansTriggered;
+    if (r.firstReplanTime < 0.0)
+        r.firstReplanTime = now;
+    schedule(now, EventKind::MigrationKick, 0, n);
+}
+
+ReplanReport
+ReplanRun::finish()
+{
+    for (std::uint32_t n = 0; n < rs.size(); ++n)
+        panic_if(rs[n].migration != nullptr, "node ", n,
+                 " finished with an unfinished migration");
+    if (epoch.arrivals || epoch.served || epoch.shed)
+        closeEpoch(lastFinish);
+    fillTotals(r);
+    return r;
+}
 
 } // namespace
 
@@ -93,10 +385,6 @@ ReplanReport
 LiveReplanServer::serve(const RoutedTrace &trace) const
 {
     fatal_if(trace.queries.empty(), "no queries to serve");
-    const std::uint32_t N = cluster.numNodes();
-    const std::uint64_t Q = trace.queries.size();
-    const std::uint32_t J = model.numFeatures();
-
     // Live state: the cluster is the initial condition only. Plans
     // and resolvers are copied into vectors that are never resized,
     // so the references ServingNode/PlanMigration borrow stay valid
@@ -104,441 +392,9 @@ LiveReplanServer::serve(const RoutedTrace &trace) const
     std::vector<ShardingPlan> plans = cluster.planSet.plans;
     std::vector<std::vector<TierResolver>> resolvers =
         cluster.resolvers;
-
-    std::vector<ServingNode> nodes;
-    std::vector<EmbCostModel> costs;
-    nodes.reserve(N);
-    costs.reserve(N);
-    for (std::uint32_t n = 0; n < N; ++n) {
-        nodes.emplace_back(n, model, plans[n], resolvers[n],
-                           cluster.nodeSystem(n), cfg.server);
-        costs.emplace_back(cluster.nodeSystem(n));
-    }
-
-    const auto planPtrs = [&] {
-        std::vector<const ShardingPlan *> ptrs;
-        ptrs.reserve(N);
-        for (std::uint32_t n = 0; n < N; ++n)
-            ptrs.push_back(&plans[n]);
-        return ptrs;
-    };
-    // The picker borrows `index`; reassigning the same object after
-    // a plan handoff re-points routing at the new pin sets.
-    LocalityIndex index(planPtrs());
-    NodePicker picker(cfg.policy, index, cfg.localityLoadPenalty);
-
-    const std::unique_ptr<AdmissionController> admission =
-        makeAdmissionController(cfg.overload.admission, N,
-                                cfg.slaSeconds);
-    const DegradationPolicy degrade(cfg.overload.degradation);
-
-    std::vector<NodeReplan> rs;
-    rs.reserve(N);
-    for (std::uint32_t n = 0; n < N; ++n)
-        rs.emplace_back(model, cfg.sketch, cfg.drift);
-
-    std::priority_queue<Event, std::vector<Event>, EventLater>
-        events;
-    std::uint64_t seq = 0;
-    for (const RoutedQuery &rq : trace.queries) {
-        Event e;
-        e.time = rq.query.arrival;
-        e.seq = seq++;
-        e.kind = EventKind::Arrival;
-        e.query = rq.query.id;
-        events.push(e);
-    }
-
-    std::vector<QueryState> state(Q);
-    std::vector<double> latencies;
-    latencies.reserve(Q);
-    const double first_arrival =
-        trace.queries.front().query.arrival;
-    double last_finish = first_arrival;
-    std::uint64_t shed = 0, shed_during_mig = 0;
-    std::uint64_t hbm = 0, uvm = 0, cache_hits = 0;
-    double total_service = 0.0;
-
-    ReplanReport r;
-    r.name = cfg.replanEnabled ? "live-replan" : "static-plan";
-    r.queries = Q;
-    r.slaSeconds = cfg.slaSeconds;
-
-    // Epoch windowing: completions land in a LatencyWindow that is
-    // reset at every boundary, so each epoch's p99 covers only its
-    // own completions.
-    LatencyWindow epoch_window(
-        std::max<std::uint64_t>(2 * cfg.epochQueries, 64));
-    double epoch_start = first_arrival;
-    std::uint64_t epoch_arrivals = 0, epoch_served = 0;
-    std::uint64_t epoch_shed = 0, epoch_good = 0;
-    bool epoch_mig_active = false;
-
-    const auto anyStepInFlight = [&] {
-        for (const NodeReplan &node : rs)
-            if (node.stepInFlight)
-                return true;
-        return false;
-    };
-
-    const auto closeEpoch = [&](double end) {
-        ReplanEpochStats s;
-        s.index = r.epochs.size();
-        s.startTime = epoch_start;
-        s.endTime = std::max(end, epoch_start);
-        s.arrivals = epoch_arrivals;
-        s.served = epoch_served;
-        s.shed = epoch_shed;
-        s.good = epoch_good;
-        s.goodput = s.endTime > s.startTime
-            ? static_cast<double>(s.good) /
-                (s.endTime - s.startTime)
-            : 0.0;
-        s.p99 = epoch_served
-            ? epoch_window.quantile(0.99) : 0.0;
-        s.migrationActive = epoch_mig_active;
-        r.epochs.push_back(s);
-        epoch_start = s.endTime;
-        epoch_arrivals = epoch_served = 0;
-        epoch_shed = epoch_good = 0;
-        epoch_window.reset();
-        epoch_mig_active = anyStepInFlight();
-    };
-
-    const auto scheduleKick = [&](std::uint32_t n, double when) {
-        Event e;
-        e.time = when;
-        e.seq = seq++;
-        e.kind = EventKind::MigrationKick;
-        e.node = n;
-        events.push(e);
-    };
-
-    // Start the next migration step iff the node is fully idle: no
-    // running query, no pending queries, no step already in flight,
-    // and the inter-step gap elapsed. This is what subordinates
-    // migration to serving — a node with any queued work never
-    // spends a second migrating.
-    const auto maybeStartStep = [&](std::uint32_t n, double now) {
-        NodeReplan &nr = rs[n];
-        if (!nr.migration || nr.migration->done() ||
-            nr.stepInFlight)
-            return;
-        if (nodes[n].busy() || nodes[n].hasPending())
-            return;
-        if (now < nr.nextStepOk) {
-            scheduleKick(n, nr.nextStepOk);
-            return;
-        }
-        nr.stepInFlight = true;
-        epoch_mig_active = true;
-        const double dt = nr.migration->stepSeconds(costs[n]);
-        r.migrationSeconds += dt;
-        Event e;
-        e.time = now + dt;
-        e.seq = seq++;
-        e.kind = EventKind::MigrationFinish;
-        e.node = n;
-        events.push(e);
-    };
-
-    std::vector<std::uint32_t> prefix; // reused dispatch scratch
-    const auto tryDispatch = [&](std::uint32_t n, double now) {
-        // An in-flight step owns the node's GPUs; the head-of-line
-        // query waits at most that one step.
-        if (rs[n].stepInFlight)
-            return;
-        if (nodes[n].busy() || !nodes[n].hasPending())
-            return;
-        const std::uint64_t qid = nodes[n].frontPending();
-        const RoutedQuery &rq = trace.queries[qid];
-        const bool trimmed =
-            state[qid].keptSamples < rq.query.samples;
-        if (trimmed)
-            rq.degradedPrefix(state[qid].keptSamples, prefix);
-        const NodeDispatch d = trimmed
-            ? nodes[n].dispatchNext(
-                  now,
-                  rq.asDegradedBatch(now, state[qid].keptSamples),
-                  rq.lookups, &prefix)
-            : nodes[n].dispatchNext(now, rq.asBatch(now),
-                                    rq.lookups);
-        total_service += d.serviceSeconds;
-        hbm += d.hbmAccesses;
-        uvm += d.uvmAccesses;
-        cache_hits += d.cacheHits;
-        admission->observeDispatch(n, now,
-                                   now - rq.query.arrival,
-                                   d.serviceSeconds);
-        // Feed the feedback loop at dispatch: the sketch sees the
-        // lookups actually executed (degraded prefix included), the
-        // detector the dispatch's tier split.
-        rs[n].profiler.observeQuery(rq, state[qid].keptSamples);
-        rs[n].detector.observe(d.hbmAccesses, d.uvmAccesses,
-                               d.cacheHits);
-
-        Event e;
-        e.time = d.finishTime;
-        e.seq = seq++;
-        e.kind = EventKind::Completion;
-        e.query = qid;
-        e.node = n;
-        events.push(e);
-    };
-
-    // Epoch-boundary drift check for one node; launches at most one
-    // migration per node at a time.
-    const auto maybeReplan = [&](std::uint32_t n, double now) {
-        if (!cfg.replanEnabled ||
-            r.replansTriggered >= cfg.maxReplans)
-            return;
-        NodeReplan &nr = rs[n];
-        if (nr.migration || !nr.detector.drifted())
-            return;
-        const std::vector<std::uint32_t> &slice =
-            cluster.planSet.slices[n];
-        if (slice.empty())
-            return;
-
-        // Confirm with the planner: price the incumbent against a
-        // fresh solve of the node's slice under the live sketch
-        // profiles — the same sub-model shape solveNodePlans() used.
-        std::vector<EmbProfile> live_profiles =
-            nr.profiler.exportProfiles();
-        ModelSpec sub;
-        sub.name = model.name + "/replan" + std::to_string(n);
-        std::vector<EmbProfile> sub_profiles;
-        std::vector<TierResolver> sub_resolvers;
-        ShardingPlan sub_incumbent;
-        sub_incumbent.strategy = plans[n].strategy;
-        sub.features.reserve(slice.size());
-        sub_profiles.reserve(slice.size());
-        sub_resolvers.reserve(slice.size());
-        sub_incumbent.tables.reserve(slice.size());
-        for (const std::uint32_t j : slice) {
-            sub.features.push_back(model.features[j]);
-            sub_profiles.push_back(std::move(live_profiles[j]));
-            sub_resolvers.push_back(resolvers[n][j]);
-            sub_incumbent.tables.push_back(plans[n].tables[j]);
-        }
-        ++r.assessmentsRun;
-        const ReshardAssessment a = assessReshard(
-            sub, sub_profiles, cluster.nodeSystem(n),
-            sub_incumbent, sub_resolvers, cfg.solver,
-            cfg.plannerName);
-        if (a.speedup < cfg.drift.minSpeedup) {
-            // Not worth moving rows for: accept the current hit
-            // fraction as the new normal so the (expensive)
-            // assessment does not rerun every epoch.
-            nr.detector.rebaseline();
-            return;
-        }
-
-        // Lift the fresh slice plan onto the full model, KEEPING
-        // the incumbent GPU assignment: each server's table list is
-        // fixed at construction, so only pin counts may move.
-        ShardingPlan target = plans[n];
-        std::vector<FrequencyCdf> cdfs(J);
-        for (std::size_t i = 0; i < slice.size(); ++i) {
-            const std::uint32_t j = slice[i];
-            target.tables[j].hbmRows =
-                a.freshPlan.tables[i].hbmRows;
-            cdfs[j] = std::move(sub_profiles[i].cdf);
-            target.tables[j].hbmAccessFraction =
-                cdfs[j].accessFraction(target.tables[j].hbmRows);
-        }
-        // The fresh solve packed rows under its own GPU layout;
-        // pinning them under the incumbent layout can overflow a
-        // GPU. Trim deterministically: shrink the biggest pinned
-        // slice table on the overflowing GPU until it fits.
-        const SystemSpec &sys = cluster.nodeSystem(n);
-        for (std::uint32_t g = 0; g < sys.numGpus; ++g) {
-            for (;;) {
-                const std::uint64_t bytes =
-                    target.hbmBytesOnGpu(model, g);
-                if (bytes <= sys.hbm.capacityBytes)
-                    break;
-                std::uint32_t victim = kNoNode;
-                for (const std::uint32_t j : slice)
-                    if (target.tables[j].gpu == g &&
-                        target.tables[j].hbmRows > 0 &&
-                        (victim == kNoNode ||
-                         target.tables[j].hbmRows >
-                             target.tables[victim].hbmRows))
-                        victim = j;
-                panic_if(victim == kNoNode,
-                         "GPU ", g, " over HBM budget with no "
-                         "pinned slice table to trim");
-                const std::uint64_t row_bytes =
-                    model.features[victim].rowBytes();
-                const std::uint64_t overflow =
-                    bytes - sys.hbm.capacityBytes;
-                const std::uint64_t cut = std::min(
-                    target.tables[victim].hbmRows,
-                    (overflow + row_bytes - 1) / row_bytes);
-                target.tables[victim].hbmRows -= cut;
-                target.tables[victim].hbmAccessFraction =
-                    cdfs[victim].accessFraction(
-                        target.tables[victim].hbmRows);
-            }
-        }
-        target.validate(model, sys);
-
-        auto migration = std::make_unique<PlanMigration>(
-            model, target, cdfs, slice, resolvers[n],
-            cfg.migration);
-        if (migration->done()) {
-            // Membership unchanged (only fractions moved): adopt
-            // the plan outright, no migration to run.
-            plans[n] = std::move(target);
-            index = LocalityIndex(planPtrs());
-            nr.detector.rebaseline();
-            nr.profiler.decay();
-            return;
-        }
-        nr.target = std::move(target);
-        nr.migration = std::move(migration);
-        ++r.replansTriggered;
-        if (r.firstReplanTime < 0.0)
-            r.firstReplanTime = now;
-        scheduleKick(n, now);
-    };
-
-    while (!events.empty()) {
-        const Event e = events.top();
-        events.pop();
-        switch (e.kind) {
-          case EventKind::Arrival: {
-              const RoutedQuery &rq = trace.queries[e.query];
-              const std::uint32_t n = picker.pick(rq, nodes);
-              QueryState &st = state[e.query];
-              st.node = n;
-              const AdmissionVerdict verdict = admission->decide(
-                  e.time, n, nodes[n].outstanding());
-              if ((!verdict.admit && !degrade.enabled()) ||
-                  (degrade.enabled() &&
-                   degrade.shouldShed(verdict))) {
-                  st.shed = true;
-                  ++shed;
-                  ++epoch_shed;
-                  if (rs[n].migration)
-                      ++shed_during_mig;
-              } else {
-                  st.tier = degrade.enabled()
-                      ? degrade.tierFor(verdict) : 0;
-                  st.keptSamples = st.tier == 0
-                      ? rq.query.samples
-                      : degrade.degradedSamples(rq.query.samples,
-                                                st.tier);
-                  nodes[n].enqueue(e.query);
-                  tryDispatch(n, e.time);
-              }
-              if (++epoch_arrivals == cfg.epochQueries) {
-                  closeEpoch(e.time);
-                  for (std::uint32_t m = 0; m < N; ++m)
-                      maybeReplan(m, e.time);
-              }
-              break;
-          }
-
-          case EventKind::Completion: {
-              nodes[e.node].completeRunning();
-              const double latency = e.time -
-                  trace.queries[e.query].query.arrival;
-              latencies.push_back(latency);
-              last_finish = std::max(last_finish, e.time);
-              epoch_window.push(latency);
-              ++epoch_served;
-              epoch_good += latency <= cfg.slaSeconds;
-              tryDispatch(e.node, e.time);
-              maybeStartStep(e.node, e.time);
-              break;
-          }
-
-          case EventKind::MigrationFinish: {
-              NodeReplan &nr = rs[e.node];
-              panic_if(!nr.stepInFlight || !nr.migration,
-                       "migration step finished on node ", e.node,
-                       " with no step in flight");
-              nr.migration->commitFront();
-              nr.stepInFlight = false;
-              nr.nextStepOk = e.time +
-                  nr.migration->minStepGapSeconds();
-              if (nr.migration->done()) {
-                  r.migrationSteps += nr.migration->totalSteps();
-                  r.migratedRows += nr.migration->rowsPinned() +
-                      nr.migration->rowsUnpinned();
-                  plans[e.node] = std::move(nr.target);
-                  index = LocalityIndex(planPtrs());
-                  nr.migration.reset();
-                  nr.detector.rebaseline();
-                  nr.profiler.decay();
-                  ++r.replansCompleted;
-              }
-              tryDispatch(e.node, e.time);
-              maybeStartStep(e.node, e.time);
-              break;
-          }
-
-          case EventKind::MigrationKick: {
-              maybeStartStep(e.node, e.time);
-              break;
-          }
-        }
-    }
-
-    for (const ServingNode &node : nodes)
-        panic_if(node.outstanding() != 0, "node ", node.id(),
-                 " finished with ", node.outstanding(),
-                 " queries stranded");
-    panic_if(latencies.size() + shed != Q, "served ",
-             latencies.size(), " + shed ", shed, " of ", Q,
-             " queries");
-    for (std::uint32_t n = 0; n < N; ++n)
-        panic_if(rs[n].migration != nullptr, "node ", n,
-                 " finished with an unfinished migration");
-    if (epoch_arrivals || epoch_served || epoch_shed)
-        closeEpoch(last_finish);
-
-    const std::uint64_t served = latencies.size();
-    r.servedQueries = served;
-    r.shedQueries = shed;
-    r.shedDuringMigration = shed_during_mig;
-
-    RunningStat lat;
-    std::uint64_t violations = 0;
-    for (const double l : latencies) {
-        lat.push(l);
-        violations += l > cfg.slaSeconds;
-    }
-    r.meanLatency = lat.mean();
-    r.maxLatency = served ? lat.max() : 0.0;
-    std::sort(latencies.begin(), latencies.end());
-    if (served) {
-        r.p50Latency = sortedPercentile(latencies, 0.50);
-        r.p95Latency = sortedPercentile(latencies, 0.95);
-        r.p99Latency = sortedPercentile(latencies, 0.99);
-        r.slaViolationRate = static_cast<double>(violations) /
-            static_cast<double>(served);
-    }
-    r.goodQueries = served - violations;
-
-    r.hbmAccesses = hbm;
-    r.uvmAccesses = uvm;
-    r.cacheHits = cache_hits;
-    const std::uint64_t accesses = hbm + uvm + cache_hits;
-    r.uvmAccessFraction = accesses
-        ? static_cast<double>(uvm) / static_cast<double>(accesses)
-        : 0.0;
-
-    r.durationSeconds = last_finish - first_arrival;
-    if (r.durationSeconds > 0.0) {
-        r.qps = static_cast<double>(served) / r.durationSeconds;
-        r.goodput = static_cast<double>(r.goodQueries) /
-            r.durationSeconds;
-    }
-    (void)total_service;
-    return r;
+    ReplanRun run(model, cluster, cfg, trace, plans, resolvers);
+    run.run();
+    return run.finish();
 }
 
 } // namespace recshard

@@ -23,7 +23,7 @@ PlanMigration::PlanMigration(const ModelSpec &model,
                              const std::vector<std::uint32_t> &tables,
                              std::vector<TierResolver> &live_,
                              const MigrationConfig &config)
-    : cfg(config), live(live_)
+    : cfg(config), live(live_), tierRowsAfterV(model.numFeatures())
 {
     cfg.validate();
     fatal_if(target.tables.size() != model.numFeatures(),
@@ -68,6 +68,8 @@ PlanMigration::PlanMigration(const ModelSpec &model,
 
         std::vector<std::uint64_t> pins;
         std::vector<std::uint64_t> unpins;
+        std::vector<std::uint64_t> &after = tierRowsAfterV[j];
+        after.assign(live[j].numTiers(), 0);
         for (std::uint64_t r = 0; r < rows; ++r) {
             const bool now = bits[r];
             const bool want_hbm = want.inHbm(r);
@@ -75,6 +77,7 @@ PlanMigration::PlanMigration(const ModelSpec &model,
                 pins.push_back(r);
             else if (!want_hbm && now)
                 unpins.push_back(r);
+            ++after[want_hbm ? 0 : now ? 1 : live[j].tierOf(r)];
         }
         std::sort(pins.begin(), pins.end(),
                   [&](std::uint64_t a, std::uint64_t b) {

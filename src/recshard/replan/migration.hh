@@ -60,6 +60,8 @@ struct MigrationStep
     std::vector<std::uint64_t> unpins;
     /** Copy-in traffic: pins x row bytes (unpins are free). */
     std::uint64_t copyBytes = 0;
+    /** tierRowsAfter() per table id; empty for unlisted tables. */
+    std::vector<std::vector<std::uint64_t>> tierRowsAfterV;
 };
 
 /** One node's in-flight migration toward a target plan. */
@@ -114,6 +116,18 @@ class PlanMigration
     std::uint64_t rowsPinned() const { return pinned; }
     std::uint64_t rowsUnpinned() const { return unpinned; }
     std::uint64_t copyBytesTotal() const { return copyBytes; }
+
+    /**
+     * Rows per tier of one of `tables` once every step has
+     * committed: pinned rows leave their tier for tier 0, unpinned
+     * rows land in tier 1 (as TierResolver::setHbm moves them), and
+     * every other row stays where it is.
+     */
+    const std::vector<std::uint64_t> &
+    tierRowsAfter(std::uint32_t table) const
+    {
+        return tierRowsAfterV[table];
+    }
     double minStepGapSeconds() const
     {
         return cfg.minStepGapSeconds;
@@ -127,6 +141,8 @@ class PlanMigration
     std::uint64_t pinned = 0;
     std::uint64_t unpinned = 0;
     std::uint64_t copyBytes = 0;
+    /** tierRowsAfter() per table id; empty for unlisted tables. */
+    std::vector<std::vector<std::uint64_t>> tierRowsAfterV;
 };
 
 } // namespace recshard

@@ -2,25 +2,25 @@
  * @file
  * The front-end routing tier: policy routing plus request hedging.
  *
- * The Router is a single-threaded virtual-time discrete-event
- * simulation over a materialized query trace. Three event kinds
- * drive it: query Arrival (pick a node under the configured
- * policy, then consult the overload controller — admit at full
- * fidelity, admit degraded, or shed; see overload/), HedgeFire
- * (the tail-at-scale mitigation — if
- * the query is still incomplete a configurable delay after arrival,
- * duplicate it to the best *other* node), and Completion (the first
- * finishing copy defines the query's latency; the losing copy is
- * canceled if still queued, or charged as wasted work if it already
- * started). The hedge delay tracks the live latency distribution:
- * it is a quantile (default p95) of a sliding window of observed
+ * The Router runs the virtual-time serving kernel (routing/des.hh)
+ * over a materialized query trace. The kernel owns query Arrival
+ * (pick a node under the configured policy, then consult the
+ * overload controller — admit at full fidelity, admit degraded, or
+ * shed; see overload/) and Completion (the first finishing copy
+ * defines the query's latency). The Router adds one event kind,
+ * HedgeFire — the tail-at-scale mitigation: if the query is still
+ * waiting in a queue a configurable delay after arrival, duplicate
+ * it to the best *other* node. The losing copy is canceled if still
+ * queued, or charged as wasted work if it already started. The
+ * hedge delay tracks the live latency distribution: it is a
+ * quantile (default p95) of a sliding LatencyWindow of observed
  * query latencies, so hedges target exactly the tail.
  *
  * Determinism contract: events are ordered by (virtual time,
  * insertion sequence), nodes execute on the caller's thread, and
  * the trace is pre-materialized — a fixed (cluster, trace, config)
  * triple always produces bit-identical reports. See
- * docs/ARCHITECTURE.md, "Virtual-time determinism".
+ * docs/ARCHITECTURE.md, "The virtual-time determinism contract".
  */
 
 #ifndef RECSHARD_ROUTING_ROUTER_HH
@@ -30,55 +30,9 @@
 #include <string>
 #include <vector>
 
-#include "recshard/overload/degradation.hh"
-#include "recshard/routing/cluster.hh"
-#include "recshard/routing/policy.hh"
-#include "recshard/routing/trace.hh"
-#include "recshard/serving/node.hh"
+#include "recshard/routing/des.hh"
 
 namespace recshard {
-
-/**
- * Fixed-capacity ring buffer of the most recent latency samples —
- * the sliding window the hedge-delay quantile is computed over.
- * Once full, each push overwrites the *oldest* sample, so the
- * buffer always holds exactly the last `capacity` observations.
- */
-class LatencyWindow
-{
-  public:
-    /** @param capacity Samples retained; must be >= 1. */
-    explicit LatencyWindow(std::uint64_t capacity);
-
-    /** Record one latency, displacing the oldest when full. */
-    void push(double latency);
-
-    /** Quantile q in [0,1] over the current contents. */
-    double quantile(double q) const;
-
-    /** Current contents (ring order, not age order). */
-    const std::vector<double> &samples() const { return buf; }
-
-    /** Samples pushed over the window's lifetime (resets included
-     *  — reset() zeroes it). */
-    std::uint64_t pushed() const { return count; }
-
-    /**
-     * Forget every sample; capacity is preserved. Epoch-windowed
-     * consumers (replan/live.hh) reset at each epoch boundary so a
-     * quantile covers exactly one epoch's observations.
-     */
-    void reset()
-    {
-        buf.clear();
-        count = 0;
-    }
-
-  private:
-    std::uint64_t cap;
-    std::uint64_t count = 0;
-    std::vector<double> buf;
-};
 
 /** Request-hedging controls. */
 struct HedgeConfig
@@ -223,26 +177,6 @@ struct RoutingReport
      *  node-seconds of the window (a node serves one query at a
      *  time, so 1.0 means every node always busy). */
     double clusterUtilization = 0.0;
-};
-
-/**
- * One query's routing + admission outcome, recorded by the DES as
- * it routes. This is the hand-off between the deterministic twin
- * and the real-threads backend (routing/realtime.hh): the DES
- * *decides* (node, shed-or-serve, fidelity tier), the
- * RealTimeExecutor *executes* those decisions on real cores, and
- * the differential test tier holds the two to identical ledgers.
- */
-struct RouteDecision
-{
-    /** Primary node the policy picked (hedge copies excluded). */
-    std::uint32_t node = 0;
-    /** Rejected at admission; tier/keptSamples are meaningless. */
-    bool shed = false;
-    /** Fidelity tier assigned at admission (0 = full). */
-    std::uint32_t tier = 0;
-    /** Ranking candidates actually served. */
-    std::uint32_t keptSamples = 0;
 };
 
 /** Front-end router over an immutable cluster. */

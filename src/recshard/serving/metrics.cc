@@ -1,9 +1,10 @@
 #include "recshard/serving/metrics.hh"
 
 #include <algorithm>
+#include <utility>
 
+#include "recshard/base/latency_summary.hh"
 #include "recshard/base/logging.hh"
-#include "recshard/base/stats.hh"
 
 namespace recshard {
 
@@ -153,24 +154,17 @@ ServingMetrics::report(const std::string &strategy,
     // Latency statistics cover the served population only; a shed
     // query never completes, so it has no latency to fold in.
     std::vector<double> latencies(arrivals.size());
-    std::uint64_t violations = 0;
-    RunningStat lat;
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    for (std::size_t i = 0; i < arrivals.size(); ++i)
         latencies[i] = completions[i] - arrivals[i];
-        lat.push(latencies[i]);
-        violations += latencies[i] > sla_seconds;
-    }
-    if (!arrivals.empty()) {
-        r.meanLatency = lat.mean();
-        r.maxLatency = lat.max();
-        std::sort(latencies.begin(), latencies.end());
-        r.p50Latency = sortedPercentile(latencies, 0.50);
-        r.p95Latency = sortedPercentile(latencies, 0.95);
-        r.p99Latency = sortedPercentile(latencies, 0.99);
-        r.slaViolationRate = static_cast<double>(violations) /
-            static_cast<double>(r.servedQueries);
-        r.goodQueries = r.servedQueries - violations;
-    }
+    const LatencySummary lat =
+        summarizeLatencies(std::move(latencies), sla_seconds);
+    r.meanLatency = lat.mean;
+    r.maxLatency = lat.max;
+    r.p50Latency = lat.p50;
+    r.p95Latency = lat.p95;
+    r.p99Latency = lat.p99;
+    r.slaViolationRate = lat.violationRate;
+    r.goodQueries = lat.count - lat.violations;
 
     // Queue depth over time: sweep +1/-1 events, weighting each
     // depth by how long it persisted. Shed queries never occupy

@@ -19,7 +19,9 @@ ShardServer::ShardServer(std::uint32_t gpu, const ModelSpec &model_,
                                          config.cacheRows)
                     : nullptr),
       lru(config.cacheRows, admission.get()),
-      tierTotals(cost_.numTiers(), 0)
+      tierTotals(cost_.numTiers(), 0),
+      tierCounts(cost_.numTiers(), 0),
+      tierBytes(cost_.numTiers(), 0)
 {
     fatal_if(resolvers.size() != plan.tables.size(),
              "plan has ", plan.tables.size(), " tables but ",
@@ -45,93 +47,57 @@ ShardServer::execute(
     exec.batchId = batch.id;
     exec.readyTime = batch.closeTime;
 
+    // Each lookup is charged to the tier its resolver places it in
+    // (on two-tier resolvers tierOf(row) == 0 exactly when
+    // inHbm(row)); the LRU absorbs cold misses at HBM speed.
     const std::size_t T = cost.numTiers();
-    if (T <= 2) {
-        // The paper's two-tier path, kept bit-identical: the DES /
-        // realtime differential tests assert byte-equal ledgers.
-        std::uint64_t hbm_bytes = 0;
-        std::uint64_t uvm_bytes = 0;
-        for (const std::uint32_t j : features) {
-            const TierResolver &res = resolvers[j];
-            const std::uint64_t row_bytes =
-                model.features[j].rowBytes();
-            std::uint64_t fast = 0; // HBM-speed: pins + cache hits
-            std::uint64_t slow = 0;
-            const std::size_t end =
-                prefix ? (*prefix)[j] : lookups[j].size();
-            panic_if(end > lookups[j].size(), "feature ", j,
-                     " limited to ", end, " of ", lookups[j].size(),
-                     " lookups");
-            for (std::size_t i = 0; i < end; ++i) {
-                const std::uint64_t idx = lookups[j][i];
-                if (res.inHbm(idx)) {
-                    ++fast;
-                    ++exec.hbmAccesses;
-                } else if (lru.touch(LruRowCache::rowKey(j, idx))) {
-                    ++fast;
-                    ++exec.cacheHits;
-                } else {
-                    ++slow;
-                    ++exec.uvmAccesses;
-                }
+    std::fill(tierBytes.begin(), tierBytes.end(), 0);
+    for (const std::uint32_t j : features) {
+        const TierResolver &res = resolvers[j];
+        const std::uint64_t row_bytes = model.features[j].rowBytes();
+        std::fill(tierCounts.begin(), tierCounts.end(), 0);
+        const std::size_t end =
+            prefix ? (*prefix)[j] : lookups[j].size();
+        panic_if(end > lookups[j].size(), "feature ", j,
+                 " limited to ", end, " of ", lookups[j].size(),
+                 " lookups");
+        for (std::size_t i = 0; i < end; ++i) {
+            const std::uint64_t idx = lookups[j][i];
+            const std::uint8_t tier = res.tierOf(idx);
+            panic_if(tier >= T, "EMB ", j, " row ", idx,
+                     " resolves to tier ", static_cast<unsigned>(tier),
+                     " but the system has ", T);
+            if (tier == 0) {
+                ++tierCounts[0];
+                ++exec.hbmAccesses;
+            } else if (lru.touch(LruRowCache::rowKey(j, idx))) {
+                ++tierCounts[0];
+                ++exec.cacheHits;
+            } else {
+                ++tierCounts[tier];
+                ++exec.uvmAccesses;
             }
-            hbm_bytes += fast * row_bytes;
-            uvm_bytes += slow * row_bytes;
-            tierTotals[0] += fast;
-            tierTotals[1] += slow;
         }
-        exec.serviceSeconds = cost.time(hbm_bytes, uvm_bytes) +
-            cfg.batchOverheadSeconds;
-    } else {
-        // N-tier pricing: each lookup is charged to the tier its
-        // resolver pins it to; the LRU absorbs cold misses at HBM
-        // speed exactly as in the two-tier path. A near-data tier
-        // ships one reduced vector per pooled bag instead of every
-        // row (RecSSD/RecNMP in-situ pooling).
-        std::vector<std::uint64_t> tier_bytes(T, 0);
-        std::vector<std::uint64_t> counts(T, 0);
-        for (const std::uint32_t j : features) {
-            const TierResolver &res = resolvers[j];
-            const std::uint64_t row_bytes =
-                model.features[j].rowBytes();
-            std::fill(counts.begin(), counts.end(), 0);
-            const std::size_t end =
-                prefix ? (*prefix)[j] : lookups[j].size();
-            panic_if(end > lookups[j].size(), "feature ", j,
-                     " limited to ", end, " of ", lookups[j].size(),
-                     " lookups");
-            for (std::size_t i = 0; i < end; ++i) {
-                const std::uint64_t idx = lookups[j][i];
-                const std::uint8_t tier = res.tierOf(idx);
-                panic_if(tier >= T, "EMB ", j, " row ", idx,
-                         " resolves to tier ",
-                         static_cast<unsigned>(tier), " but the "
-                         "system has ", T);
-                if (tier == 0) {
-                    ++counts[0];
-                    ++exec.hbmAccesses;
-                } else if (lru.touch(LruRowCache::rowKey(j, idx))) {
-                    ++counts[0];
-                    ++exec.cacheHits;
-                } else {
-                    ++counts[tier];
-                    ++exec.uvmAccesses;
-                }
-            }
-            tier_bytes[0] += counts[0] * row_bytes;
-            for (std::size_t t = 1; t < T; ++t) {
-                const std::uint64_t moved = cost.tierNearData(t)
-                    ? std::min<std::uint64_t>(counts[t],
-                                              batch.totalSamples())
-                    : counts[t];
-                tier_bytes[t] += moved * row_bytes;
-            }
-            for (std::size_t t = 0; t < T; ++t)
-                tierTotals[t] += counts[t];
+        for (std::size_t t = 0; t < T; ++t) {
+            // A near-data tier ships one reduced vector per pooled
+            // bag instead of every row (RecSSD/RecNMP in-situ
+            // pooling).
+            const std::uint64_t moved =
+                t > 0 && T > 2 && cost.tierNearData(t)
+                ? std::min<std::uint64_t>(tierCounts[t],
+                                          batch.totalSamples())
+                : tierCounts[t];
+            tierBytes[t] += moved * row_bytes;
+            tierTotals[t] += tierCounts[t];
         }
-        exec.serviceSeconds = cost.timeTiered(tier_bytes) +
-            cfg.batchOverheadSeconds;
     }
+    // Two-tier specs keep the paper's price: timeTiered() charges
+    // each tier's accessLatency and near-data pooling and time()
+    // charges neither, so a two-tier spec built with fromTiers would
+    // change price through timeTiered().
+    exec.serviceSeconds = (T <= 2 ? cost.time(tierBytes[0], tierBytes[1])
+                                  : cost.timeTiered(tierBytes)) +
+        cfg.batchOverheadSeconds;
     exec.startTime = std::max(exec.readyTime, freeTime);
     exec.finishTime = exec.startTime + exec.serviceSeconds;
     freeTime = exec.finishTime;

@@ -148,6 +148,10 @@ class ShardServer
     double freeTime = 0.0; //!< virtual time the server idles from
     double busy = 0.0;
     std::vector<std::uint64_t> tierTotals; //!< lookups per tier
+    /** execute() scratch: one feature's lookups and one batch's
+     *  bytes per tier. */
+    std::vector<std::uint64_t> tierCounts;
+    std::vector<std::uint64_t> tierBytes;
 };
 
 /** All GPUs' execution records for one micro-batch. */

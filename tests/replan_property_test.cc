@@ -48,6 +48,7 @@
 #include "recshard/report/experiment.hh"
 #include "recshard/routing/router.hh"
 #include "recshard/serving/cache_admission.hh"
+#include "recshard/tiering/topology.hh"
 
 namespace {
 
@@ -415,6 +416,72 @@ TEST(LiveReplan, StaticBaselineNeverMigrates)
     EXPECT_EQ(r.replansTriggered, 0u);
     EXPECT_EQ(r.migrationSteps, 0u);
     EXPECT_EQ(r.servedQueries + r.shedQueries, r.queries);
+}
+
+/** The LiveContext shape on HBM / DRAM / SSD nodes whose DRAM holds
+ *  only part of the cold rows, so the SSD tier is in use. */
+ReplanReport
+serveThreeTier(std::uint64_t seed)
+{
+    const ModelSpec model = driftableModel(6, 8000, seed);
+    SyntheticDataset data(model, seed * 2654435761ULL + 1);
+    const double total = static_cast<double>(model.totalBytes());
+    const SystemSpec node = threeTierNode(
+        2, static_cast<std::uint64_t>(0.2 * total / 2),
+        static_cast<std::uint64_t>(0.3 * total / 2),
+        model.totalBytes());
+    const auto profiles = profileDataset(data, 20000, 4096);
+    ClusterPlanOptions cp;
+    cp.numNodes = 2;
+    const RoutingCluster cluster =
+        buildRoutingCluster(model, profiles, node, cp);
+
+    ReplanConfig rc;
+    rc.server.cacheRows = 0;
+    rc.slaSeconds = 2e-3;
+    rc.sketch.topK = 8192;
+    rc.sketch.width = 32768;
+    rc.drift.hitDropThreshold = 0.02;
+    rc.drift.minQueries = 300;
+    rc.epochQueries = 1000;
+    rc.migration.rowsPerStep = 128;
+
+    LoadConfig load;
+    load.meanQuerySamples = 6.0;
+    load.seed = seed ^ 0x60157ULL;
+    RouterConfig probe;
+    probe.policy = rc.policy;
+    probe.server = rc.server;
+    probe.slaSeconds = rc.slaSeconds;
+    load.qps = 0.6 * estimateSaturationQps(
+                         model, cluster, probe,
+                         materializeRoutedTrace(data, load, 4000));
+
+    DriftModel churn;
+    churn.hotChurnPerMonth = 0.08;
+    data.setDrift(churn);
+    DriftTraceSchedule schedule;
+    schedule.months = 10;
+    const RoutedTrace trace =
+        materializeDriftingRoutedTrace(data, load, 8000, schedule);
+    return LiveReplanServer(model, cluster, rc).serve(trace);
+}
+
+TEST(LiveReplan, ThreeTierNodesMigrate)
+{
+    // A lifted target used to keep the incumbent's per-tier rows,
+    // so the first replan on a tiered node died in plan validation.
+    // Every seed must now serve to the end; where unpinned rows
+    // would overflow DRAM the replan keeps the incumbent instead.
+    std::uint64_t completed = 0;
+    for (const std::uint64_t seed : {17u, 23u, 31u}) {
+        const ReplanReport r = serveThreeTier(seed);
+        EXPECT_EQ(r.servedQueries + r.shedQueries, r.queries)
+            << "seed " << seed;
+        EXPECT_EQ(r.shedDuringMigration, 0u) << "seed " << seed;
+        completed += r.replansCompleted;
+    }
+    EXPECT_GE(completed, 1u);
 }
 
 TEST(ReplanTrace, ChurnRotatesOnlyLaterMonths)
