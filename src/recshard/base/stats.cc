@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "recshard/base/latency_summary.hh"
 #include "recshard/base/logging.hh"
 
 namespace recshard {
@@ -95,29 +94,6 @@ sortedPercentile(const std::vector<double> &xs, double q)
     const auto hi = std::min(lo + 1, xs.size() - 1);
     const double frac = pos - static_cast<double>(lo);
     return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
-LatencySummary
-summarizeLatencies(std::vector<double> latencies, double sla_seconds)
-{
-    LatencySummary s;
-    if (latencies.empty())
-        return s;
-    RunningStat lat;
-    for (const double l : latencies) {
-        lat.push(l);
-        s.violations += l > sla_seconds;
-    }
-    s.count = lat.count();
-    s.mean = lat.mean();
-    s.max = lat.max();
-    std::sort(latencies.begin(), latencies.end());
-    s.p50 = sortedPercentile(latencies, 0.50);
-    s.p95 = sortedPercentile(latencies, 0.95);
-    s.p99 = sortedPercentile(latencies, 0.99);
-    s.violationRate = static_cast<double>(s.violations) /
-        static_cast<double>(s.count);
-    return s;
 }
 
 double

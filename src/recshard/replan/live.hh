@@ -17,14 +17,18 @@
  *              repins in idle gaps)
  *           -> serving (same nodes, new pin sets, no restart)
  *
- * The LiveReplanServer is a virtual-time discrete-event loop like
- * the Router, minus hedging plus migration: per-node sketches are
- * fed at dispatch, drift is checked at epoch boundaries, and a
- * confirmed regression launches a PlanMigration whose steps run
- * only when the node is fully idle — migration never preempts or
- * delays an admitted query beyond one in-flight step, and no query
- * is ever shed because of it (the bench enforces both by exit
- * code). Determinism: same (cluster, trace, config) -> bit-identical
+ * The LiveReplanServer runs the same virtual-time serving kernel as
+ * the Router (routing/des.hh), minus hedging plus migration:
+ * per-node sketches are fed at dispatch, drift is checked when an
+ * epoch's arrival count is reached, and a confirmed regression
+ * launches a PlanMigration. It adds two event kinds: MigrationKick
+ * (try to start the next step once the inter-step gap has passed)
+ * and MigrationFinish (commit a step; after the last one, adopt the
+ * target plan and re-point routing at it). Steps run only when the
+ * node is fully idle — migration never preempts or delays an
+ * admitted query beyond one in-flight step, and no query is ever
+ * shed because of it (the bench enforces both by exit code).
+ * Determinism: same (cluster, trace, config) -> bit-identical
  * report, including the epoch log and every migration step.
  */
 

@@ -4,16 +4,6 @@
 
 namespace recshard {
 
-std::vector<const ShardingPlan *>
-RoutingCluster::planPtrs() const
-{
-    std::vector<const ShardingPlan *> ptrs;
-    ptrs.reserve(planSet.plans.size());
-    for (const ShardingPlan &plan : planSet.plans)
-        ptrs.push_back(&plan);
-    return ptrs;
-}
-
 RoutingCluster
 buildRoutingCluster(const ModelSpec &model,
                     const std::vector<EmbProfile> &profiles,

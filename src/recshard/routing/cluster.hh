@@ -41,9 +41,6 @@ struct RoutingCluster
     {
         return planSet.nodeSpecs[n];
     }
-
-    /** Plan pointers in node order (LocalityIndex input). */
-    std::vector<const ShardingPlan *> planPtrs() const;
 };
 
 /**

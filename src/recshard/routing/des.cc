@@ -36,20 +36,6 @@ LatencyWindow::quantile(double q) const
     return percentile(buf, q);
 }
 
-namespace {
-
-std::vector<const ShardingPlan *>
-pointersTo(const std::vector<ShardingPlan> &plans)
-{
-    std::vector<const ShardingPlan *> ptrs;
-    ptrs.reserve(plans.size());
-    for (const ShardingPlan &plan : plans)
-        ptrs.push_back(&plan);
-    return ptrs;
-}
-
-} // namespace
-
 ServingKernel::ServingKernel(
     const ModelSpec &model_, const RoutingCluster &cluster_,
     const std::vector<ShardingPlan> &plans_,
@@ -58,7 +44,7 @@ ServingKernel::ServingKernel(
     double localityLoadPenalty, const OverloadConfig &overload,
     const ShardServerConfig &server, double slaSeconds)
     : model(model_), cluster(cluster_), trace(trace_), plans(plans_),
-      index(pointersTo(plans_)),
+      index(plans_),
       picker(policy, index, localityLoadPenalty),
       admission(makeAdmissionController(
           overload.admission, cluster_.numNodes(), slaSeconds)),
@@ -112,14 +98,7 @@ ServingKernel::schedule(double time, EventKind kind,
                         std::uint64_t query, std::uint32_t node,
                         double serviceSeconds)
 {
-    Event e;
-    e.time = time;
-    e.seq = seq++;
-    e.kind = kind;
-    e.query = query;
-    e.node = node;
-    e.serviceSeconds = serviceSeconds;
-    events.push(e);
+    events.push({time, seq++, kind, query, node, serviceSeconds});
 }
 
 void
@@ -164,7 +143,7 @@ ServingKernel::tryDispatch(std::uint32_t n, double now)
 void
 ServingKernel::repointLocality()
 {
-    index = LocalityIndex(pointersTo(plans));
+    index = LocalityIndex(plans);
 }
 
 void

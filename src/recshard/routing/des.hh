@@ -21,6 +21,7 @@
  * identical event order. See docs/ARCHITECTURE.md, "The
  * virtual-time determinism contract".
  */
+
 #ifndef RECSHARD_ROUTING_DES_HH
 #define RECSHARD_ROUTING_DES_HH
 
@@ -29,11 +30,11 @@
 #include <queue>
 #include <vector>
 
-#include "recshard/base/latency_summary.hh"
 #include "recshard/overload/degradation.hh"
 #include "recshard/routing/cluster.hh"
 #include "recshard/routing/policy.hh"
 #include "recshard/routing/trace.hh"
+#include "recshard/serving/metrics.hh"
 #include "recshard/serving/node.hh"
 
 namespace recshard {
@@ -151,6 +152,9 @@ class ServingKernel
                   const ShardServerConfig &server,
                   double slaSeconds);
     virtual ~ServingKernel() = default;
+    /** Not copyable or movable: `picker` borrows `index`. */
+    ServingKernel(const ServingKernel &) = delete;
+    ServingKernel &operator=(const ServingKernel &) = delete;
 
     /** Drain every event, then panic on a stranded query or on
      *  served + shed != offered. */

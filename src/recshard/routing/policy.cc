@@ -25,15 +25,14 @@ allRoutingPolicies()
     return kAll;
 }
 
-LocalityIndex::LocalityIndex(
-    const std::vector<const ShardingPlan *> &plans)
+LocalityIndex::LocalityIndex(const std::vector<ShardingPlan> &plans)
 {
     fatal_if(plans.empty(), "locality index needs >= 1 plan");
     pct.reserve(plans.size());
-    for (const ShardingPlan *plan : plans) {
+    for (const ShardingPlan &plan : plans) {
         std::vector<double> node_pct;
-        node_pct.reserve(plan->tables.size());
-        for (const EmbPlacement &t : plan->tables)
+        node_pct.reserve(plan.tables.size());
+        for (const EmbPlacement &t : plan.tables)
             node_pct.push_back(t.hbmAccessFraction);
         pct.push_back(std::move(node_pct));
         fatal_if(pct.back().size() != pct.front().size(),

@@ -52,8 +52,8 @@ const std::vector<RoutingPolicy> &allRoutingPolicies();
 class LocalityIndex
 {
   public:
-    explicit LocalityIndex(
-        const std::vector<const ShardingPlan *> &plans);
+    /** @param plans One plan per node, in node order. */
+    explicit LocalityIndex(const std::vector<ShardingPlan> &plans);
 
     /**
      * Expected fraction of the query's lookups served from `node`'s

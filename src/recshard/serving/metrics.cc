@@ -3,10 +3,33 @@
 #include <algorithm>
 #include <utility>
 
-#include "recshard/base/latency_summary.hh"
 #include "recshard/base/logging.hh"
+#include "recshard/base/stats.hh"
 
 namespace recshard {
+
+LatencySummary
+summarizeLatencies(std::vector<double> latencies, double sla_seconds)
+{
+    LatencySummary s;
+    if (latencies.empty())
+        return s;
+    RunningStat lat;
+    for (const double l : latencies) {
+        lat.push(l);
+        s.violations += l > sla_seconds;
+    }
+    s.count = lat.count();
+    s.mean = lat.mean();
+    s.max = lat.max();
+    std::sort(latencies.begin(), latencies.end());
+    s.p50 = sortedPercentile(latencies, 0.50);
+    s.p95 = sortedPercentile(latencies, 0.95);
+    s.p99 = sortedPercentile(latencies, 0.99);
+    s.violationRate = static_cast<double>(s.violations) /
+        static_cast<double>(s.count);
+    return s;
+}
 
 void
 ServingMetrics::recordQuery(double arrival, double completion,

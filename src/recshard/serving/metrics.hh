@@ -21,6 +21,27 @@
 
 namespace recshard {
 
+/** A latency population reduced to what every serving report
+ *  (ServingReport, RoutingReport, ReplanReport) quotes. All zero
+ *  for an empty population. */
+struct LatencySummary
+{
+    std::uint64_t count = 0;
+    double mean = 0.0;
+    double max = 0.0;
+    double p50 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+    /** Samples strictly above the SLA. */
+    std::uint64_t violations = 0;
+    /** violations / count. */
+    double violationRate = 0.0;
+};
+
+/** Mean, max, p50/p95/p99 and SLA violations of one sample. */
+LatencySummary summarizeLatencies(std::vector<double> latencies,
+                                  double sla_seconds);
+
 /** One plan's measurements under one traffic trace. */
 struct ServingReport
 {

@@ -204,7 +204,7 @@ TEST(Routing, DeterministicAcrossRuns)
 TEST(Routing, LocalityIndexPrefersThePinningNode)
 {
     const RoutingFixture &fx = fixture();
-    const LocalityIndex index(fx.cluster.planPtrs());
+    const LocalityIndex index(fx.cluster.planSet.plans);
 
     // A query that only touches tables of node n's slice must
     // score strictly higher on node n than anywhere else.
