@@ -60,8 +60,6 @@ struct MigrationStep
     std::vector<std::uint64_t> unpins;
     /** Copy-in traffic: pins x row bytes (unpins are free). */
     std::uint64_t copyBytes = 0;
-    /** tierRowsAfter() per table id; empty for unlisted tables. */
-    std::vector<std::vector<std::uint64_t>> tierRowsAfterV;
 };
 
 /** One node's in-flight migration toward a target plan. */
@@ -128,6 +126,7 @@ class PlanMigration
     {
         return tierRowsAfterV[table];
     }
+
     double minStepGapSeconds() const
     {
         return cfg.minStepGapSeconds;

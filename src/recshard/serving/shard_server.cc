@@ -95,8 +95,9 @@ ShardServer::execute(
     // each tier's accessLatency and near-data pooling and time()
     // charges neither, so a two-tier spec built with fromTiers would
     // change price through timeTiered().
-    exec.serviceSeconds = (T <= 2 ? cost.time(tierBytes[0], tierBytes[1])
-                                  : cost.timeTiered(tierBytes)) +
+    exec.serviceSeconds =
+        (T <= 2 ? cost.time(tierBytes[0], tierBytes[1])
+                : cost.timeTiered(tierBytes)) +
         cfg.batchOverheadSeconds;
     exec.startTime = std::max(exec.readyTime, freeTime);
     exec.finishTime = exec.startTime + exec.serviceSeconds;
