@@ -40,7 +40,8 @@ main()
     const auto profiles = profileDataset(data, 30000, 4096);
 
     // One request, every registered strategy that scales to this
-    // instance ("milp" opts out via Planner::scalable()).
+    // instance ("milp" and "lp-rounding" opt out via
+    // Planner::scalable()).
     const PlanRequest request =
         PlanRequest::make(model, profiles, system, 2048);
 

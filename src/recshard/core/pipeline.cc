@@ -43,22 +43,18 @@ RecShardPipeline::run() const
 
     // Phase 2: partitioning and placement (Section 4.2) through
     // the registry-selected planner. The authoritative batch size
-    // follows the selected path so the deprecated useExactMilp shim
-    // keeps honoring a caller's milp.batchSize.
+    // follows the selected path, so "milp" honors milp.batchSize.
     t0 = Clock::now();
-    const std::string planner_name = opts.effectivePlannerName();
     PlanRequest req = PlanRequest::make(
         data.spec(), result.profiles, sys,
-        planner_name == "milp" ? opts.milp.batchSize
-                               : opts.solver.batchSize);
+        opts.plannerName == "milp" ? opts.milp.batchSize
+                                   : opts.solver.batchSize);
     req.solver = opts.solver;
     req.milp = opts.milp;
     req.seed = opts.plannerSeed;
     req.rounding = opts.rounding;
-    req.anneal = opts.anneal;
-    req.autotune = opts.autotune;
     PlanResult solved =
-        PlannerRegistry::create(planner_name)->plan(req);
+        PlannerRegistry::create(opts.plannerName)->plan(req);
     fatal_if(!solved.diag.feasible,
              "planner '", solved.diag.planner,
              "' found no feasible sharding (", solved.diag.notes,

@@ -104,30 +104,17 @@ struct PipelineOptions
     /** Samples to profile (paper: <=1% of the data store). */
     std::uint64_t profileSamples = 100000;
     std::uint32_t profileBatchSize = 4096;
-    /**
-     * Phase-2 strategy, by PlannerRegistry name ("recshard",
-     * "milp", "greedy-size", ...). Empty selects the legacy
-     * default: "milp" when the deprecated useExactMilp flag is
-     * set, "recshard" otherwise.
-     */
-    std::string plannerName;
-    /**
-     * @deprecated Back-compat shim for the pre-registry API: maps
-     * to plannerName = "milp". An explicit plannerName wins. Use
-     * plannerName instead.
-     */
-    bool useExactMilp = false;
+    /** Phase-2 strategy, by PlannerRegistry name ("recshard",
+     *  "milp", "greedy-size", ...). */
+    std::string plannerName = "recshard";
     RecShardOptions solver;
+    /** Exact-path controls (used when plannerName == "milp"). */
     MilpShardOptions milp;
-    /** PRNG seed for the stochastic planners ("lp-rounding",
-     *  "anneal"): same options + same seed → same plan. */
+    /** PRNG seed for the stochastic planner ("lp-rounding"):
+     *  same options + same seed → same plan. */
     std::uint64_t plannerSeed = 0x5eed5eed5eedULL;
     /** "lp-rounding" controls. */
     LpRoundingOptions rounding;
-    /** "anneal" controls. */
-    AnnealOptions anneal;
-    /** "recshard-tuned" controls. */
-    AutotuneOptions autotune;
     /** Run the optional serving phase on the solved plan. */
     bool evaluateServing = false;
     ServingConfig serving;
@@ -137,14 +124,6 @@ struct PipelineOptions
     /** Run the optional live-replanning phase. */
     bool evaluateReplanning = false;
     ReplanPhaseOptions replanning;
-
-    /** Phase-2 planner after the deprecation shim resolves. */
-    std::string effectivePlannerName() const
-    {
-        if (!plannerName.empty())
-            return plannerName;
-        return useExactMilp ? "milp" : "recshard";
-    }
 };
 
 /** Everything the pipeline produces. */

@@ -1,7 +1,6 @@
 #include "recshard/planner/lp_rounding.hh"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -121,77 +120,6 @@ buildCandidate(const PlanRequest &req,
     return out;
 }
 
-/**
- * Structured-path assignment: LPT over the pooled-relaxation
- * prices, with each table's GPU pick randomized at rate `explore`
- * (rng == nullptr keeps the pure deterministic LPT).
- */
-std::vector<std::uint32_t>
-structuredAssignment(const PlanRequest &req,
-                     const std::vector<EmbShardInput> &inputs,
-                     const std::vector<double> &est_cost,
-                     const std::vector<std::uint64_t> &hbm_b,
-                     const std::vector<std::uint64_t> &uvm_b,
-                     Rng *rng, double explore)
-{
-    const std::uint32_t M = req.system.numGpus;
-    const auto J = static_cast<std::uint32_t>(inputs.size());
-    std::vector<std::uint32_t> order(J);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  if (est_cost[a] != est_cost[b])
-                      return est_cost[a] > est_cost[b];
-                  return a < b;
-              });
-
-    std::vector<std::uint32_t> gpu_of(J, 0);
-    std::vector<double> load(M, 0.0);
-    std::vector<std::uint64_t> used_hbm(M, 0), used_uvm(M, 0);
-    std::vector<std::uint32_t> fits;
-    for (const std::uint32_t j : order) {
-        fits.clear();
-        for (std::uint32_t m = 0; m < M; ++m) {
-            if (used_hbm[m] + hbm_b[j] <=
-                    req.system.hbm.capacityBytes &&
-                used_uvm[m] + uvm_b[j] <=
-                    req.system.uvm.capacityBytes)
-                fits.push_back(m);
-        }
-        std::uint32_t pick;
-        if (fits.empty()) {
-            // Park on the emptiest GPU; the repair step sorts it out.
-            pick = 0;
-            std::uint64_t best_free = 0;
-            for (std::uint32_t m = 0; m < M; ++m) {
-                const std::uint64_t cap =
-                    req.system.hbm.capacityBytes +
-                    req.system.uvm.capacityBytes;
-                const std::uint64_t used = used_hbm[m] + used_uvm[m];
-                const std::uint64_t free_bytes =
-                    cap > used ? cap - used : 0;
-                if (free_bytes >= best_free) {
-                    best_free = free_bytes;
-                    pick = m;
-                }
-            }
-        } else if (rng != nullptr && rng->bernoulli(explore)) {
-            pick = fits[static_cast<std::size_t>(rng->uniformInt(
-                0, static_cast<std::int64_t>(fits.size()) - 1))];
-        } else {
-            pick = fits[0];
-            for (const std::uint32_t m : fits)
-                if (load[m] < load[pick])
-                    pick = m;
-        }
-        gpu_of[j] = pick;
-        load[pick] += est_cost[j];
-        used_hbm[pick] += hbm_b[j];
-        used_uvm[pick] += uvm_b[j];
-    }
-    return gpu_of;
-}
-
 } // namespace
 
 ShardingPlan
@@ -210,68 +138,30 @@ LpRoundingPlanner::solve(const PlanRequest &req,
     std::ostringstream note;
 
     // ---- The relaxation ------------------------------------------
-    // Small instances: the true LP relaxation of the MILP, whose
-    // fractional p_mj become per-table sampling distributions.
-    const long long binaries =
-        static_cast<long long>(M) * J +
-        (static_cast<long long>(req.milp.icdfSteps) + 1) * J;
-    bool exact_path = binaries <= req.milp.maxBinaries;
-    std::vector<std::vector<double>> assign_prob;
-    if (exact_path) {
-        MilpShardOptions mopts = req.milp;
-        mopts.batchSize = req.batchSize;
-        const ShardMilpModel fm = buildShardMilp(
-            *req.model, *req.profiles, req.system, mopts);
-        const LpSolution sol = SimplexSolver(fm.lp).solve();
-        if (sol.status != LpStatus::Optimal) {
-            exact_path = false;
-            note << "lp relaxation " << lpStatusName(sol.status)
-                 << ", structured fallback; ";
-        } else {
-            note << "lp relaxation bound "
-                 << sol.objective * fm.costUnit << " s; ";
-            assign_prob.assign(J, std::vector<double>(M, 0.0));
-            for (std::uint32_t j = 0; j < J; ++j)
-                for (std::uint32_t m = 0; m < M; ++m)
-                    assign_prob[j][m] = std::max(
-                        0.0, sol.values[static_cast<std::size_t>(
-                                 fm.vP[m][j])]);
-        }
+    // The true LP relaxation of the MILP, whose fractional p_mj
+    // become per-table sampling distributions. buildShardMilp()
+    // fatal()s past milp.maxBinaries, so this strategy refuses
+    // production-scale instances exactly as "milp" does.
+    MilpShardOptions mopts = req.milp;
+    mopts.batchSize = req.batchSize;
+    const ShardMilpModel fm =
+        buildShardMilp(*req.model, *req.profiles, req.system, mopts);
+    const LpSolution sol = SimplexSolver(fm.lp).solve();
+    if (sol.status != LpStatus::Optimal) {
+        // No relaxation, nothing to round: report only the status.
+        diag.feasible = false;
+        diag.notes = std::string("lp relaxation ") +
+            lpStatusName(sol.status) + " - nothing to round";
+        return {};
     }
-
-    // Large instances: the pooled-budget greedy split is the exact
-    // optimum of the single-pool relaxation (the CDFs are concave);
-    // it prices every table for the randomized LPT rounding.
-    std::vector<std::uint64_t> hbm_b(J), uvm_b(J);
-    std::vector<double> est_cost(J);
-    {
-        std::vector<std::uint32_t> all(J);
-        std::iota(all.begin(), all.end(), 0);
-        const GpuBudgetSplit global = splitGpuBudget(
-            inputs, cost_model, req.batchSize, all,
-            static_cast<std::uint64_t>(M) *
-                req.system.hbm.capacityBytes,
-            static_cast<std::uint64_t>(M) *
-                req.system.uvm.capacityBytes);
-        if (!global.feasible) {
-            diag.feasible = false;
-            diag.notes =
-                "model cannot fit the node even using UVM";
-            return {};
-        }
-        for (std::uint32_t j = 0; j < J; ++j) {
-            hbm_b[j] = global.hbmRows[j] * inputs[j].rowBytes;
-            uvm_b[j] = inputs[j].tableBytes - hbm_b[j];
-            est_cost[j] = embCostAtPct(
-                inputs[j], cost_model,
-                embHbmTruePct(inputs[j], global.step[j],
-                              global.tailTaken[j]),
-                req.batchSize);
-        }
-        if (!exact_path)
-            note << "structured relaxation (instance past the "
-                    "dense-LP limit); ";
-    }
+    note << "lp relaxation bound " << sol.objective * fm.costUnit
+         << " s; ";
+    std::vector<std::vector<double>> assign_prob(
+        J, std::vector<double>(M, 0.0));
+    for (std::uint32_t j = 0; j < J; ++j)
+        for (std::uint32_t m = 0; m < M; ++m)
+            assign_prob[j][m] = std::max(
+                0.0, sol.values[static_cast<std::size_t>(fm.vP[m][j])]);
 
     // ---- Round, repair, keep the best ----------------------------
     Candidate best;
@@ -279,36 +169,29 @@ LpRoundingPlanner::solve(const PlanRequest &req,
     for (std::uint32_t t = 0; t < R; ++t) {
         Rng trial_rng = rng.fork(t);
         std::vector<std::uint32_t> gpu_of(J, 0);
-        if (exact_path) {
-            for (std::uint32_t j = 0; j < J; ++j) {
-                const auto &p = assign_prob[j];
-                std::uint32_t arg = 0;
-                double total = 0.0;
-                for (std::uint32_t m = 0; m < M; ++m) {
-                    total += p[m];
-                    if (p[m] > p[arg])
-                        arg = m;
-                }
-                // Trial 0 is the deterministic argmax rounding.
-                if (t == 0 || total <= 0.0) {
-                    gpu_of[j] = arg;
-                    continue;
-                }
-                double r = trial_rng.nextDouble() * total;
+        for (std::uint32_t j = 0; j < J; ++j) {
+            const auto &p = assign_prob[j];
+            std::uint32_t arg = 0;
+            double total = 0.0;
+            for (std::uint32_t m = 0; m < M; ++m) {
+                total += p[m];
+                if (p[m] > p[arg])
+                    arg = m;
+            }
+            // Trial 0 is the deterministic argmax rounding.
+            if (t == 0 || total <= 0.0) {
                 gpu_of[j] = arg;
-                for (std::uint32_t m = 0; m < M; ++m) {
-                    r -= p[m];
-                    if (r <= 0.0) {
-                        gpu_of[j] = m;
-                        break;
-                    }
+                continue;
+            }
+            double r = trial_rng.nextDouble() * total;
+            gpu_of[j] = arg;
+            for (std::uint32_t m = 0; m < M; ++m) {
+                r -= p[m];
+                if (r <= 0.0) {
+                    gpu_of[j] = m;
+                    break;
                 }
             }
-        } else {
-            gpu_of = structuredAssignment(
-                req, inputs, est_cost, hbm_b, uvm_b,
-                t == 0 ? nullptr : &trial_rng,
-                req.rounding.explore);
         }
         Candidate cand = buildCandidate(req, inputs, cost_model,
                                         membersOf(gpu_of, M));
@@ -326,37 +209,35 @@ LpRoundingPlanner::solve(const PlanRequest &req,
         return {};
     }
 
-    // ---- Polish (exact path only: J*M is small there) ------------
+    // ---- Polish --------------------------------------------------
     // First-improvement hill climb on single-table GPU moves, judged
     // by the same uniform estimator. Rounding samples the LP's
     // assignment *basin*; this walks to that basin's floor, which is
     // what closes the last couple of percent to the MILP optimum.
     std::uint64_t climbs = 0;
-    if (exact_path) {
-        std::vector<std::uint32_t> gpu_of(J);
-        for (std::uint32_t j = 0; j < J; ++j)
-            gpu_of[j] = best.plan.tables[j].gpu;
-        bool improved = true;
-        std::uint32_t evals = 0;
-        while (improved && evals < 400) {
-            improved = false;
-            for (std::uint32_t j = 0; j < J && evals < 400; ++j) {
-                std::uint32_t from = gpu_of[j];
-                for (std::uint32_t g = 0; g < M; ++g) {
-                    if (g == from)
-                        continue;
-                    gpu_of[j] = g;
-                    ++evals;
-                    Candidate cand = buildCandidate(
-                        req, inputs, cost_model, membersOf(gpu_of, M));
-                    if (cand.feasible && cand.cost < best.cost) {
-                        best = std::move(cand);
-                        ++climbs;
-                        improved = true;
-                        from = g;
-                    } else {
-                        gpu_of[j] = from;
-                    }
+    std::vector<std::uint32_t> gpu_of(J);
+    for (std::uint32_t j = 0; j < J; ++j)
+        gpu_of[j] = best.plan.tables[j].gpu;
+    bool improved = true;
+    std::uint32_t evals = 0;
+    while (improved && evals < 400) {
+        improved = false;
+        for (std::uint32_t j = 0; j < J && evals < 400; ++j) {
+            std::uint32_t from = gpu_of[j];
+            for (std::uint32_t g = 0; g < M; ++g) {
+                if (g == from)
+                    continue;
+                gpu_of[j] = g;
+                ++evals;
+                Candidate cand = buildCandidate(
+                    req, inputs, cost_model, membersOf(gpu_of, M));
+                if (cand.feasible && cand.cost < best.cost) {
+                    best = std::move(cand);
+                    ++climbs;
+                    improved = true;
+                    from = g;
+                } else {
+                    gpu_of[j] = from;
                 }
             }
         }

@@ -11,14 +11,13 @@
  * relaxed p_mj values, repair the sample to a feasible pin set with
  * the concave per-GPU split (sharding/recshard_solver.hh:
  * splitGpuBudget), and keep the candidate with the best uniform
- * bottleneck estimate.
+ * bottleneck estimate. Trials are reproducible from
+ * PlanRequest::seed.
  *
- * Instances too large for the dense-tableau LP take a structured
- * relaxation instead: the pooled-budget greedy split (which *is*
- * the optimum of the single-pool relaxation, the CDFs being
- * concave) prices each table, and the trials randomize the LPT
- * placement order instead of the simplex fractions. Both paths are
- * reproducible from PlanRequest::seed.
+ * The relaxation is the MILP's own dense-tableau LP, so the planner
+ * takes the MILP's size limit too: scalable() is false, and an
+ * instance past MilpShardOptions::maxBinaries fails at the boundary
+ * with fatal(), exactly as "milp" does.
  */
 
 #ifndef RECSHARD_PLANNER_LP_ROUNDING_HH
@@ -33,6 +32,7 @@ class LpRoundingPlanner : public Planner
 {
   public:
     const char *name() const override { return "lp-rounding"; }
+    bool scalable() const override { return false; }
 
   protected:
     ShardingPlan solve(const PlanRequest &request,

@@ -20,12 +20,10 @@
  * with its own internal quantization.
  *
  * Strategies are selected by name through `PlannerRegistry`
- * (registry.hh); five built-ins adapt the pre-existing free
+ * (registry.hh); six built-ins: five adapt the pre-existing free
  * functions (`recShardPlan`, `milpShardPlan`, `greedyShard`), and
- * three more add planner depth: "lp-rounding" (LP relaxation +
- * seeded randomized rounding), "anneal" (simulated annealing over
- * ICDF-step moves), and "recshard-tuned" (per-table knee-tuned
- * shard granularity).
+ * "lp-rounding" rounds the MILP's LP relaxation with seeded
+ * randomized trials.
  */
 
 #ifndef RECSHARD_PLANNER_PLANNER_HH
@@ -46,46 +44,6 @@ struct LpRoundingOptions
 {
     /** Randomized rounding trials; the best candidate plan wins. */
     std::uint32_t trials = 8;
-    /**
-     * Exploration rate of the structured (production-scale) path:
-     * probability that one table's GPU pick is randomized instead
-     * of taking the least-loaded feasible GPU.
-     */
-    double explore = 0.3;
-};
-
-/** Tuning for the simulated-annealing planner ("anneal"). */
-struct AnnealOptions
-{
-    /** Proposed moves (step shifts, tail shifts, GPU moves). */
-    std::uint32_t iterations = 4000;
-    /** Start temperature as a fraction of the seed plan's cost. */
-    double startTempFraction = 0.05;
-    /** End temperature as a fraction of the seed plan's cost. */
-    double endTempFraction = 1e-4;
-};
-
-/** Tuning for the granularity autotuner ("recshard-tuned"). */
-struct AutotuneOptions
-{
-    /** Smallest per-table ICDF step count considered. */
-    unsigned minSteps = 8;
-    /**
-     * Largest per-table ICDF step count considered (knee search
-     * doubles from minSteps up to here). Deliberately modest: past
-     * ~64 steps the scalable solver's split quality degrades before
-     * the extra resolution pays (see bench_planner_depth's
-     * granularity sweep), so the cap bounds the resolution proxy,
-     * not just the solve time.
-     */
-    unsigned maxSteps = 64;
-    /**
-     * Knee rule: stop doubling a table's step count once doubling
-     * grows the number of *distinct* split points by less than this
-     * relative fraction — the CDF is resolved, finer slicing only
-     * duplicates rows counts.
-     */
-    double kneeTolerance = 0.05;
 };
 
 /** Everything a planner needs to shard one node. */
@@ -111,17 +69,13 @@ struct PlanRequest
     /** Tuning for the exact path (planner "milp"). */
     MilpShardOptions milp;
     /**
-     * Deterministic PRNG seed for the stochastic strategies
-     * ("lp-rounding", "anneal"). The same request with the same
-     * seed reproduces the same PlanResult bit for bit.
+     * Deterministic PRNG seed for the stochastic strategy
+     * ("lp-rounding"). The same request with the same seed
+     * reproduces the same PlanResult bit for bit.
      */
     std::uint64_t seed = 0x5eed5eed5eedULL;
     /** Tuning for the LP-rounding planner. */
     LpRoundingOptions rounding;
-    /** Tuning for the annealing planner. */
-    AnnealOptions anneal;
-    /** Tuning for the granularity autotuner. */
-    AutotuneOptions autotune;
 
     /** The common construction: bind the instance, take default
      *  strategy tuning. Callers adjust solver/milp afterwards. */
@@ -185,7 +139,8 @@ class Planner
 
     /**
      * Whether the strategy handles production-scale instances
-     * (hundreds of EMBs). The exact MILP returns false; harnesses
+     * (hundreds of EMBs). The exact MILP and lp-rounding (which
+     * solves the MILP's LP relaxation) return false; harnesses
      * that sweep the registry over large models skip non-scalable
      * planners.
      */

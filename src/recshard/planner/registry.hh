@@ -6,9 +6,9 @@
  * one with `PlannerRegistry::create(name)` — pipelines, cluster
  * assembly, benches, and tests all pick strategies by string, so a
  * new strategy becomes reachable everywhere the moment it
- * registers. The registry's store seeds itself with the eight
+ * registers. The registry's store seeds itself with the six
  * built-ins ("greedy-size", "greedy-lookup", "greedy-size-lookup",
- * "recshard", "milp", "lp-rounding", "anneal", "recshard-tuned")
+ * "recshard", "milp", "lp-rounding")
  * inside its thread-safe static initialization
  * (strategies.hh: builtinPlanners()), which sidesteps the
  * static-library dead-stripping of self-registration objects;
@@ -47,8 +47,8 @@ class PlannerRegistry
     static bool contains(const std::string &name);
 
     /** Registered names, in registration order (built-ins first:
-     *  the three greedy baselines, "recshard", "milp", then the
-     *  depth strategies "lp-rounding"/"anneal"/"recshard-tuned"). */
+     *  the three greedy baselines, "recshard", "milp", then
+     *  "lp-rounding"). */
     static std::vector<std::string> names();
 };
 

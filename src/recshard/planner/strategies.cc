@@ -3,8 +3,6 @@
 #include <memory>
 #include <sstream>
 
-#include "recshard/planner/anneal.hh"
-#include "recshard/planner/autotune.hh"
 #include "recshard/planner/lp_rounding.hh"
 #include "recshard/planner/registry.hh"
 #include "recshard/sharding/baselines.hh"
@@ -128,9 +126,6 @@ builtinPlanners()
         {"milp", [] { return std::make_unique<MilpPlanner>(); }},
         {"lp-rounding",
          [] { return std::make_unique<LpRoundingPlanner>(); }},
-        {"anneal", [] { return std::make_unique<AnnealPlanner>(); }},
-        {"recshard-tuned",
-         [] { return std::make_unique<TunedRecShardPlanner>(); }},
     };
 }
 

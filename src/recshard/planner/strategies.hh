@@ -1,6 +1,6 @@
 /**
  * @file
- * The eight built-in planning strategies. Five are `Planner`
+ * The six built-in planning strategies. Five are `Planner`
  * adapters over the pre-existing free functions:
  *
  *   "recshard"           recShardPlan()  — scalable solver
@@ -10,14 +10,11 @@
  *   "greedy-lookup"      greedyShard(BaselineCost::Lookup)
  *   "greedy-size-lookup" greedyShard(BaselineCost::SizeLookup)
  *
- * and three live in this directory:
+ * and one lives in this directory:
  *
  *   "lp-rounding"        lp_rounding.hh — LP relaxation + seeded
- *                        randomized rounding with repair
- *   "anneal"             anneal.hh — simulated annealing over
- *                        per-table ICDF-step moves
- *   "recshard-tuned"     autotune.hh — scalable solver at per-table
- *                        knee-tuned ICDF granularity
+ *                        randomized rounding with repair (MILP-sized
+ *                        instances only; scalable() == false)
  *
  * The registry seeds itself from builtinPlanners() inside its
  * store's thread-safe static initialization (registry.cc), so the

@@ -76,8 +76,7 @@ struct ModelEvaluation
 {
     std::string modelName;
     /** In PlannerRegistry order; with only the built-ins that is
-     *  Size-Based, Lookup-Based, Size-Based-Lookup, RecShard,
-     *  LP-Rounding, Anneal, RecShard-Tuned. */
+     *  Size-Based, Lookup-Based, Size-Based-Lookup, RecShard. */
     std::vector<StrategyResult> strategies;
 
     const StrategyResult &byName(const std::string &name) const;

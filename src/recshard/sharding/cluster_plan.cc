@@ -130,8 +130,6 @@ solveNodePlans(const ModelSpec &model,
         req.milp = options.milp;
         req.seed = options.seed + n;
         req.rounding = options.rounding;
-        req.anneal = options.anneal;
-        req.autotune = options.autotune;
         PlanResult solved = planner->plan(req);
         fatal_if(!solved.diag.feasible,
                  "planner '", options.plannerName,

@@ -63,6 +63,24 @@ buildCurve(const EmbShardInput &in, std::uint32_t batch,
 }
 
 /**
+ * True HBM access share of one EMB split at `step` of its ICDF with
+ * `tail_taken` unprofiled tail rows pinned: the profiled share plus
+ * the Good-Turing missing mass carried by the pinned tail.
+ */
+double
+embHbmTruePct(const EmbShardInput &in, unsigned step,
+              std::uint64_t tail_taken)
+{
+    const double profiled = (1.0 - in.missingMass) *
+        static_cast<double>(step) / in.numSteps();
+    const double tail = in.tailRows == 0
+        ? in.missingMass
+        : in.missingMass * static_cast<double>(tail_taken) /
+            static_cast<double>(in.tailRows);
+    return profiled + tail;
+}
+
+/**
  * Greedy marginal-benefit allocation of an HBM budget across the
  * member EMBs: profiled ICDF increments and unprofiled tail chunks
  * compete on cost-gain-per-byte (optimal for concave CDFs), with a
@@ -214,19 +232,6 @@ splitMembers(const std::vector<EmbShardInput> &inputs,
 
 } // namespace
 
-double
-embHbmTruePct(const EmbShardInput &in, unsigned step,
-              std::uint64_t tail_taken)
-{
-    const double profiled = (1.0 - in.missingMass) *
-        static_cast<double>(step) / in.numSteps();
-    const double tail = in.tailRows == 0
-        ? in.missingMass
-        : in.missingMass * static_cast<double>(tail_taken) /
-            static_cast<double>(in.tailRows);
-    return profiled + tail;
-}
-
 GpuBudgetSplit
 splitGpuBudget(const std::vector<EmbShardInput> &inputs,
                const EmbCostModel &cost_model, std::uint32_t batch,
@@ -254,11 +259,8 @@ recShardPlan(const ModelSpec &model,
     // lint:allow(no-wallclock): solve-time diagnostic only; never reaches the plan
     const auto t_start = Clock::now();
 
-    const auto inputs = opts.perTableSteps.empty()
-        ? buildShardInputs(model, profiles, opts.icdfSteps,
-                           opts.ablation)
-        : buildShardInputs(model, profiles, opts.perTableSteps,
-                           opts.ablation);
+    const auto inputs = buildShardInputs(model, profiles,
+                                         opts.icdfSteps, opts.ablation);
     const EmbCostModel cost_model(system, opts.combine);
     const std::uint32_t M = system.numGpus;
     const auto J = static_cast<std::uint32_t>(inputs.size());

@@ -37,12 +37,6 @@ struct RecShardOptions
 {
     std::uint32_t batchSize = 16384;
     unsigned icdfSteps = 100;     //!< paper: 100 uniform steps
-    /**
-     * Per-table ICDF step counts (the granularity autotuner's knees,
-     * planner "recshard-tuned"). When non-empty it must match the
-     * model's table count and overrides icdfSteps table by table.
-     */
-    std::vector<unsigned> perTableSteps;
     AblationSwitches ablation;
     EmbCostModel::Combine combine = EmbCostModel::Combine::Sum;
     std::uint32_t localSearchRounds = 400;
@@ -86,26 +80,17 @@ struct GpuBudgetSplit
 
 /**
  * The solver's per-GPU split step as a standalone building block
- * (used by the lp-rounding and annealing planners to repair a GPU
- * assignment into a feasible pin set): greedy marginal-benefit
- * allocation of `cap_hbm` across the listed member EMBs, with a
- * forced spill into leftover HBM when `cap_uvm` would overflow.
- * Optimal for the relaxed per-GPU problem because each profiled
- * ICDF is concave. Each member's step count is its own numSteps().
+ * (used by the lp-rounding planner to repair a GPU assignment into
+ * a feasible pin set): greedy marginal-benefit allocation of
+ * `cap_hbm` across the listed member EMBs, with a forced spill into
+ * leftover HBM when `cap_uvm` would overflow. Optimal for the
+ * relaxed per-GPU problem because each profiled ICDF is concave.
  */
 GpuBudgetSplit
 splitGpuBudget(const std::vector<EmbShardInput> &inputs,
                const EmbCostModel &cost_model, std::uint32_t batch,
                const std::vector<std::uint32_t> &members,
                std::uint64_t cap_hbm, std::uint64_t cap_uvm);
-
-/**
- * True HBM access share of one EMB split at `step` of its ICDF with
- * `tail_taken` unprofiled tail rows pinned: the profiled share plus
- * the Good-Turing missing mass carried by the pinned tail.
- */
-double embHbmTruePct(const EmbShardInput &in, unsigned step,
-                     std::uint64_t tail_taken);
 
 } // namespace recshard
 

@@ -4,32 +4,6 @@
 
 namespace recshard {
 
-namespace {
-
-EmbShardInput
-buildOneInput(const FeatureSpec &f, const EmbProfile &p,
-              unsigned steps, AblationSwitches ablation)
-{
-    fatal_if(steps == 0, "ICDF needs at least one step");
-    EmbShardInput in;
-    in.hashSize = f.hashSize;
-    in.rowBytes = f.rowBytes();
-    in.tableBytes = f.tableBytes();
-    in.avgPool = ablation.usePooling ? p.avgPool : 1.0;
-    in.coverage = ablation.useCoverage ? p.coverage : 1.0;
-    in.icdfRows = p.cdf.icdfSteps(steps);
-    in.tailRows = f.hashSize - p.cdf.touchedRows();
-    if (p.cdf.totalAccesses() > 0 && in.tailRows > 0) {
-        in.missingMass = std::min(
-            0.5,
-            static_cast<double>(p.cdf.singletonRows()) /
-                static_cast<double>(p.cdf.totalAccesses()));
-    }
-    return in;
-}
-
-} // namespace
-
 std::vector<EmbShardInput>
 buildShardInputs(const ModelSpec &model,
                  const std::vector<EmbProfile> &profiles,
@@ -38,32 +12,26 @@ buildShardInputs(const ModelSpec &model,
     fatal_if(profiles.size() != model.features.size(),
              "profile count ", profiles.size(),
              " != feature count ", model.features.size());
-    std::vector<EmbShardInput> inputs;
-    inputs.reserve(model.features.size());
-    for (std::size_t j = 0; j < model.features.size(); ++j)
-        inputs.push_back(buildOneInput(model.features[j],
-                                       profiles[j], steps, ablation));
-    return inputs;
-}
-
-std::vector<EmbShardInput>
-buildShardInputs(const ModelSpec &model,
-                 const std::vector<EmbProfile> &profiles,
-                 const std::vector<unsigned> &steps,
-                 AblationSwitches ablation)
-{
-    fatal_if(profiles.size() != model.features.size(),
-             "profile count ", profiles.size(),
-             " != feature count ", model.features.size());
-    fatal_if(steps.size() != model.features.size(),
-             "per-table step count ", steps.size(),
-             " != feature count ", model.features.size());
-    std::vector<EmbShardInput> inputs;
-    inputs.reserve(model.features.size());
-    for (std::size_t j = 0; j < model.features.size(); ++j)
-        inputs.push_back(buildOneInput(model.features[j],
-                                       profiles[j], steps[j],
-                                       ablation));
+    fatal_if(steps == 0, "ICDF needs at least one step");
+    std::vector<EmbShardInput> inputs(model.features.size());
+    for (std::size_t j = 0; j < model.features.size(); ++j) {
+        const FeatureSpec &f = model.features[j];
+        const EmbProfile &p = profiles[j];
+        EmbShardInput &in = inputs[j];
+        in.hashSize = f.hashSize;
+        in.rowBytes = f.rowBytes();
+        in.tableBytes = f.tableBytes();
+        in.avgPool = ablation.usePooling ? p.avgPool : 1.0;
+        in.coverage = ablation.useCoverage ? p.coverage : 1.0;
+        in.icdfRows = p.cdf.icdfSteps(steps);
+        in.tailRows = f.hashSize - p.cdf.touchedRows();
+        if (p.cdf.totalAccesses() > 0 && in.tailRows > 0) {
+            in.missingMass = std::min(
+                0.5,
+                static_cast<double>(p.cdf.singletonRows()) /
+                    static_cast<double>(p.cdf.totalAccesses()));
+        }
+    }
     return inputs;
 }
 

@@ -50,8 +50,7 @@ struct EmbShardInput
         return icdfRows[i] * rowBytes;
     }
 
-    /** This EMB's ICDF step count (tables may differ when the
-     *  granularity autotuner picked per-table knees). */
+    /** The ICDF step count this input was built with. */
     unsigned numSteps() const
     {
         return static_cast<unsigned>(icdfRows.size()) - 1;
@@ -70,17 +69,6 @@ std::vector<EmbShardInput>
 buildShardInputs(const ModelSpec &model,
                  const std::vector<EmbProfile> &profiles,
                  unsigned steps, AblationSwitches ablation = {});
-
-/**
- * Per-table granularity variant: table j's ICDF is linearized with
- * steps[j] steps (the granularity autotuner's per-table knees).
- * `steps` must match the model's table count, entries positive.
- */
-std::vector<EmbShardInput>
-buildShardInputs(const ModelSpec &model,
-                 const std::vector<EmbProfile> &profiles,
-                 const std::vector<unsigned> &steps,
-                 AblationSwitches ablation = {});
 
 /**
  * Constraint 11: the per-iteration forward-pass cost of one EMB when

@@ -97,11 +97,8 @@ TEST(Pipeline, ExactMilpPathOnTinyModel)
 
     PipelineOptions opts;
     opts.profileSamples = 10000;
-    // The deprecated shim: useExactMilp must keep routing through
-    // the registry's "milp" planner.
-    opts.useExactMilp = true;
+    opts.plannerName = "milp";
     opts.milp.icdfSteps = 5;
-    EXPECT_EQ(opts.effectivePlannerName(), "milp");
     const PipelineResult result =
         RecShardPipeline(data, sys, opts).run();
     result.plan.validate(model, sys);

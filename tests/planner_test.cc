@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the unified planner API: registry lookup and errors,
- * the eight built-in strategies honoring the Planner contract on a
- * shared fixture, seed-determinism of the stochastic strategies,
- * the milp adapter's no-incumbent reporting, external
- * self-registration, the useExactMilp deprecation shim, and
- * heterogeneous per-node cluster planning (a larger-HBM node must
- * pin more hot rows).
+ * the six built-in strategies honoring the Planner contract on a
+ * shared fixture, seed-determinism of the stochastic strategy,
+ * the milp adapter's no-incumbent reporting, lp-rounding's
+ * MILP-size boundary, external self-registration, planner
+ * selection by name in the pipeline, and heterogeneous per-node
+ * cluster planning (a larger-HBM node must pin more hot rows).
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@ using namespace recshard;
 
 const char *const kBuiltins[] = {
     "greedy-size", "greedy-lookup", "greedy-size-lookup",
-    "recshard", "milp", "lp-rounding", "anneal", "recshard-tuned",
+    "recshard", "milp", "lp-rounding",
 };
 
 /** Shared fixture: a capacity-pressured 2-GPU instance small
@@ -70,10 +70,13 @@ TEST(PlannerRegistry, KnowsAllBuiltinStrategies)
         ASSERT_NE(planner, nullptr);
         EXPECT_STREQ(planner->name(), name);
     }
-    // Only the exact MILP refuses production-scale instances.
+    // Only the exact MILP and its LP relaxation refuse
+    // production-scale instances.
     for (const char *name : kBuiltins) {
+        const std::string n = name;
         EXPECT_EQ(PlannerRegistry::create(name)->scalable(),
-                  std::string(name) != "milp");
+                  n != "milp" && n != "lp-rounding")
+            << name;
     }
 }
 
@@ -168,61 +171,39 @@ TEST(Planner, StochasticStrategiesAreSeedDeterministic)
     // same uniform cost; a different seed is allowed to differ (and
     // rounding trials genuinely sample), but must stay feasible.
     const PlannerFixture fx;
-    for (const char *name : {"lp-rounding", "anneal"}) {
-        const auto planner = PlannerRegistry::create(name);
-        PlanRequest req = fx.request();
-        req.seed = 1234567;
-        const PlanResult a = planner->plan(req);
-        const PlanResult b = planner->plan(req);
-        ASSERT_TRUE(a.diag.feasible) << name;
-        ASSERT_TRUE(b.diag.feasible) << name;
-        ASSERT_EQ(a.plan.tables.size(), b.plan.tables.size());
-        for (std::size_t j = 0; j < a.plan.tables.size(); ++j) {
-            EXPECT_EQ(a.plan.tables[j].gpu, b.plan.tables[j].gpu)
-                << name << " table " << j;
-            EXPECT_EQ(a.plan.tables[j].hbmRows,
-                      b.plan.tables[j].hbmRows)
-                << name << " table " << j;
-        }
-        EXPECT_EQ(a.diag.bottleneckCost, b.diag.bottleneckCost)
-            << name;
-        EXPECT_EQ(a.diag.notes, b.diag.notes) << name;
-
-        req.seed = 7654321;
-        const PlanResult c = planner->plan(req);
-        EXPECT_TRUE(c.diag.feasible) << name;
-        c.plan.validate(fx.model, fx.system);
+    const auto planner = PlannerRegistry::create("lp-rounding");
+    PlanRequest req = fx.request();
+    req.seed = 1234567;
+    const PlanResult a = planner->plan(req);
+    const PlanResult b = planner->plan(req);
+    ASSERT_TRUE(a.diag.feasible);
+    ASSERT_TRUE(b.diag.feasible);
+    ASSERT_EQ(a.plan.tables.size(), b.plan.tables.size());
+    for (std::size_t j = 0; j < a.plan.tables.size(); ++j) {
+        EXPECT_EQ(a.plan.tables[j].gpu, b.plan.tables[j].gpu)
+            << "table " << j;
+        EXPECT_EQ(a.plan.tables[j].hbmRows, b.plan.tables[j].hbmRows)
+            << "table " << j;
     }
+    EXPECT_EQ(a.diag.bottleneckCost, b.diag.bottleneckCost);
+    EXPECT_EQ(a.diag.notes, b.diag.notes);
+
+    req.seed = 7654321;
+    const PlanResult c = planner->plan(req);
+    EXPECT_TRUE(c.diag.feasible);
+    c.plan.validate(fx.model, fx.system);
 }
 
-TEST(Planner, AnnealNeverLosesToItsSeedPlan)
+TEST(Planner, LpRoundingPastMilpSizeLimitIsFatal)
 {
-    // The walk keeps the best state visited and starts from the
-    // recshard plan, so it can only match or beat it.
-    const PlannerFixture fx;
-    const PlanRequest req = fx.request();
-    const double seed_cost =
-        PlannerRegistry::create("recshard")->plan(req)
-            .diag.bottleneckCost;
-    const double annealed =
-        PlannerRegistry::create("anneal")->plan(req)
-            .diag.bottleneckCost;
-    EXPECT_LE(annealed, seed_cost * (1.0 + 1e-9));
-}
-
-TEST(Planner, TunedRecShardReportsKneesAndStaysFeasible)
-{
+    // lp-rounding relaxes the MILP's own formulation, so an
+    // instance past milp.maxBinaries fails at the boundary, naming
+    // the limit, exactly as "milp" does.
     const PlannerFixture fx;
     PlanRequest req = fx.request();
-    req.autotune.minSteps = 8;
-    req.autotune.maxSteps = 128;
-    const PlanResult r =
-        PlannerRegistry::create("recshard-tuned")->plan(req);
-    ASSERT_TRUE(r.diag.feasible);
-    r.plan.validate(fx.model, fx.system);
-    EXPECT_NE(r.diag.notes.find("knee steps"), std::string::npos);
-    // One knee per table was tuned.
-    EXPECT_EQ(r.diag.refinementSteps, fx.model.features.size());
+    req.milp.maxBinaries = 10;
+    EXPECT_EXIT(PlannerRegistry::create("lp-rounding")->plan(req),
+                ::testing::ExitedWithCode(1), "limit 10");
 }
 
 TEST(Planner, MilpAdapterReportsStatusNotObjectiveWithoutIncumbent)
@@ -259,18 +240,7 @@ TEST(Planner, RejectsMalformedRequests)
                 ::testing::ExitedWithCode(1), "profiles");
 }
 
-// ------------------------------------------------ deprecation shim
-
-TEST(PipelineShim, UseExactMilpMapsToMilpPlanner)
-{
-    PipelineOptions opts;
-    EXPECT_EQ(opts.effectivePlannerName(), "recshard");
-    opts.useExactMilp = true;
-    EXPECT_EQ(opts.effectivePlannerName(), "milp");
-    // An explicit planner name wins over the deprecated flag.
-    opts.plannerName = "greedy-size";
-    EXPECT_EQ(opts.effectivePlannerName(), "greedy-size");
-}
+// ------------------------------------- pipeline planner selection
 
 TEST(PipelineShim, PipelineRunsAnyPlannerByName)
 {

@@ -9,8 +9,8 @@
  *
  * The acceptance gate lives here: every registry planner must
  * produce a feasible, validated N-tier plan on the rm1 zoo (the
- * exact MILP, which refuses production-scale instances by
- * contract, proves the same on a tiny instance).
+ * exact MILP and lp-rounding, which refuse production-scale
+ * instances by contract, prove the same on a tiny instance).
  */
 
 #include <gtest/gtest.h>
@@ -173,7 +173,7 @@ TEST(TieringPlan, EveryScalablePlannerSolvesRm1ThreeTier)
     for (const std::string &name : PlannerRegistry::names()) {
         const auto planner = PlannerRegistry::create(name);
         if (!planner->scalable())
-            continue; // the exact MILP gets its own tiny instance
+            continue; // milp and lp-rounding: tiny instance below
         const PlanRequest req =
             PlanRequest::make(model, profiles, node, 4096);
         const PlanResult r = planner->plan(req);
@@ -193,23 +193,25 @@ TEST(TieringPlan, EveryScalablePlannerSolvesRm1ThreeTier)
     }
 }
 
-TEST(TieringPlan, LpRoundingIsSeedDeterministicOnThreeTierRm1)
+TEST(TieringPlan, LpRoundingIsSeedDeterministicOnTinyThreeTierInstance)
 {
-    // The stochastic planner's whole pipeline — relaxation, seeded
-    // rounding trials, repair, N-tier extension — must reproduce
-    // bit for bit from PlanRequest::seed on the rm1 3-tier gate.
-    const ModelSpec model = makeRm1(2e-4);
-    SyntheticDataset data(model, 42);
-    const auto profiles = profileDataset(data, 6000, 2048);
-    const SystemSpec node = pressuredThreeTier(model, 2, 16, 8);
+    // The stochastic planner's whole pipeline — LP relaxation,
+    // seeded rounding trials, repair, N-tier extension — must
+    // reproduce bit for bit from PlanRequest::seed on a 3-tier node
+    // small enough for the relaxation.
+    const ModelSpec model = makeTinyModel(4, 800, 71);
+    SyntheticDataset data(model, 72);
+    const auto profiles = profileDataset(data, 10000, 2048);
+    const SystemSpec node = pressuredThreeTier(model, 2, 8, 6);
 
-    const PlanRequest req =
-        PlanRequest::make(model, profiles, node, 4096);
+    PlanRequest req = PlanRequest::make(model, profiles, node, 4096);
+    req.milp.icdfSteps = 4;
     const auto planner = PlannerRegistry::create("lp-rounding");
     const PlanResult a = planner->plan(req);
     const PlanResult b = planner->plan(req);
     ASSERT_TRUE(a.diag.feasible);
     ASSERT_TRUE(b.diag.feasible);
+    expectTieredStructure(model, a.plan, node);
     ASSERT_EQ(a.plan.tables.size(), b.plan.tables.size());
     for (std::size_t j = 0; j < a.plan.tables.size(); ++j) {
         EXPECT_EQ(a.plan.tables[j].gpu, b.plan.tables[j].gpu);
