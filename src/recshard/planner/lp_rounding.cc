@@ -8,7 +8,7 @@
 #include "recshard/base/random.hh"
 #include "recshard/lp/simplex.hh"
 #include "recshard/sharding/milp_formulation.hh"
-#include "recshard/sharding/recshard_solver.hh"
+#include "recshard/sharding/split_walk.hh"
 
 namespace recshard {
 
@@ -42,7 +42,7 @@ membersOf(const std::vector<std::uint32_t> &gpu_of, std::uint32_t M)
 Candidate
 buildCandidate(const PlanRequest &req,
                const std::vector<EmbShardInput> &inputs,
-               const EmbCostModel &cost_model,
+               SplitWalker &walker,
                std::vector<std::vector<std::uint32_t>> members)
 {
     const std::uint32_t M = req.system.numGpus;
@@ -51,10 +51,10 @@ buildCandidate(const PlanRequest &req,
 
     std::vector<GpuBudgetSplit> splits(M);
     auto resplit = [&](std::uint32_t m) {
-        splits[m] = splitGpuBudget(inputs, cost_model,
-                                   req.batchSize, members[m],
-                                   req.system.hbm.capacityBytes,
-                                   req.system.uvm.capacityBytes);
+        splits[m] = walker.split(members[m],
+                                 walker.walkList(members[m]),
+                                 req.system.hbm.capacityBytes,
+                                 req.system.uvm.capacityBytes);
     };
     for (std::uint32_t m = 0; m < M; ++m)
         resplit(m);
@@ -130,6 +130,7 @@ LpRoundingPlanner::solve(const PlanRequest &req,
     const auto inputs = buildShardInputs(*req.model, *req.profiles,
                                          req.solver.icdfSteps,
                                          req.solver.ablation);
+    SplitWalker walker(inputs, cost_model, req.batchSize);
     const auto J = static_cast<std::uint32_t>(inputs.size());
     const std::uint32_t M = req.system.numGpus;
     const std::uint32_t R =
@@ -193,7 +194,7 @@ LpRoundingPlanner::solve(const PlanRequest &req,
                 }
             }
         }
-        Candidate cand = buildCandidate(req, inputs, cost_model,
+        Candidate cand = buildCandidate(req, inputs, walker,
                                         membersOf(gpu_of, M));
         if (cand.feasible &&
             (!best.feasible || cand.cost < best.cost)) {
@@ -230,7 +231,7 @@ LpRoundingPlanner::solve(const PlanRequest &req,
                 gpu_of[j] = g;
                 ++evals;
                 Candidate cand = buildCandidate(
-                    req, inputs, cost_model, membersOf(gpu_of, M));
+                    req, inputs, walker, membersOf(gpu_of, M));
                 if (cand.feasible && cand.cost < best.cost) {
                     best = std::move(cand);
                     ++climbs;

@@ -9,10 +9,9 @@
  * placements. This planner rounds that distribution: R
  * deterministically-seeded trials sample each table's GPU from the
  * relaxed p_mj values, repair the sample to a feasible pin set with
- * the concave per-GPU split (sharding/recshard_solver.hh:
- * splitGpuBudget), and keep the candidate with the best uniform
- * bottleneck estimate. Trials are reproducible from
- * PlanRequest::seed.
+ * the concave per-GPU split (sharding/split_walk.hh), and keep the
+ * candidate with the best uniform bottleneck estimate. Trials are
+ * reproducible from PlanRequest::seed.
  *
  * The relaxation is the MILP's own dense-tableau LP, so the planner
  * takes the MILP's size limit too: scalable() is false, and an

@@ -3,251 +3,21 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <queue>
 
 #include "recshard/base/logging.hh"
+#include "recshard/sharding/split_walk.hh"
 
 namespace recshard {
 
 namespace {
 
-/**
- * Per-EMB cost curve. The profiled ICDF covers the (1 - M) share of
- * accesses the profile observed; the Good-Turing missing mass M is
- * carried by the unprofiled tail rows, uniformly. Moving profiled
- * step i or tail rows into HBM each converts its share of traffic
- * from UVM- to HBM-bandwidth service.
- */
-struct Curve
-{
-    double wBytes = 0.0;         //!< coverage*pool*rowBytes*batch
-    double stepGain = 0.0;       //!< gain per profiled ICDF step
-    double tailGainPerRow = 0.0; //!< gain per tail row moved
-};
+/** Local-search rounds: each accepts at most one move or swap. */
+constexpr std::uint32_t kLocalSearchRounds = 400;
 
-/** Bandwidths + combine mode shared by all cost evaluations. */
-struct SolverCtx
-{
-    double bwHbm = 1.0;
-    double bwUvm = 1.0;
-    EmbCostModel::Combine combine = EmbCostModel::Combine::Sum;
-
-    /** Coverage-weighted cost given the true HBM access share. */
-    double
-    cost(double w_bytes, double true_pct) const
-    {
-        const double uvm = (1.0 - true_pct) * w_bytes / bwUvm;
-        const double hbm = true_pct * w_bytes / bwHbm;
-        return combine == EmbCostModel::Combine::Sum
-            ? uvm + hbm : std::max(uvm, hbm);
-    }
-};
-
-/** Per-EMB curve setup shared by recShardPlan and splitGpuBudget. */
-Curve
-buildCurve(const EmbShardInput &in, std::uint32_t batch,
-           const SolverCtx &ctx)
-{
-    Curve c;
-    c.wBytes = in.coverage * in.avgPool *
-        static_cast<double>(in.rowBytes) *
-        static_cast<double>(batch);
-    const double gain_unit =
-        c.wBytes * (1.0 / ctx.bwUvm - 1.0 / ctx.bwHbm);
-    c.stepGain = gain_unit * (1.0 - in.missingMass) / in.numSteps();
-    c.tailGainPerRow = in.tailRows == 0
-        ? 0.0
-        : gain_unit * in.missingMass /
-            static_cast<double>(in.tailRows);
-    return c;
-}
-
-/**
- * True HBM access share of one EMB split at `step` of its ICDF with
- * `tail_taken` unprofiled tail rows pinned: the profiled share plus
- * the Good-Turing missing mass carried by the pinned tail.
- */
-double
-embHbmTruePct(const EmbShardInput &in, unsigned step,
-              std::uint64_t tail_taken)
-{
-    const double profiled = (1.0 - in.missingMass) *
-        static_cast<double>(step) / in.numSteps();
-    const double tail = in.tailRows == 0
-        ? in.missingMass
-        : in.missingMass * static_cast<double>(tail_taken) /
-            static_cast<double>(in.tailRows);
-    return profiled + tail;
-}
-
-/**
- * Greedy marginal-benefit allocation of an HBM budget across the
- * member EMBs: profiled ICDF increments and unprofiled tail chunks
- * compete on cost-gain-per-byte (optimal for concave CDFs), with a
- * forced spill of whatever tail remains when the UVM budget would
- * otherwise overflow.
- */
-GpuBudgetSplit
-splitMembers(const std::vector<EmbShardInput> &inputs,
-             const std::vector<Curve> &curves,
-             const SolverCtx &ctx,
-             const std::vector<std::uint32_t> &members,
-             std::uint64_t cap_hbm, std::uint64_t cap_uvm)
-{
-    GpuBudgetSplit out;
-    out.step.assign(members.size(), 0);
-    out.hbmRows.assign(members.size(), 0);
-    out.tailTaken.assign(members.size(), 0);
-
-    // Heap entry: the next increment of one member, either a
-    // profiled ICDF step or a chunk of unprofiled tail rows. Ratios
-    // are non-increasing within each member sequence, so heap order
-    // is safe.
-    struct Item
-    {
-        double ratio;
-        std::uint32_t member;
-        bool isTail;
-        unsigned nextStep;       //!< profiled step (when !isTail)
-        std::uint64_t deltaRows; //!< tail rows (when isTail)
-        std::uint64_t deltaBytes;
-    };
-    auto cmp = [](const Item &a, const Item &b) {
-        if (a.ratio != b.ratio)
-            return a.ratio < b.ratio;
-        if (a.member != b.member)
-            return a.member > b.member;
-        return a.isTail && !b.isTail;
-    };
-    std::priority_queue<Item, std::vector<Item>, decltype(cmp)>
-        heap(cmp);
-
-    auto push_step = [&](std::uint32_t k, unsigned next_step) {
-        const auto &in = inputs[members[k]];
-        if (next_step > in.numSteps())
-            return;
-        const std::uint64_t delta =
-            (in.icdfRows[next_step] - in.icdfRows[next_step - 1]) *
-            in.rowBytes;
-        const double gain = curves[members[k]].stepGain;
-        const double ratio = delta == 0
-            ? std::numeric_limits<double>::infinity()
-            : gain / static_cast<double>(delta);
-        heap.push(Item{ratio, k, false, next_step, 0, delta});
-    };
-    auto push_tail = [&](std::uint32_t k) {
-        const auto &in = inputs[members[k]];
-        const std::uint64_t left = in.tailRows - out.tailTaken[k];
-        if (left == 0)
-            return;
-        // Offer the tail in chunks so it interleaves with other
-        // members fairly.
-        const std::uint64_t chunk =
-            std::min(left, std::max<std::uint64_t>(
-                               1, in.tailRows / 8));
-        const double gain = curves[members[k]].tailGainPerRow *
-            static_cast<double>(chunk);
-        const std::uint64_t bytes = chunk * in.rowBytes;
-        const double ratio = bytes == 0
-            ? std::numeric_limits<double>::infinity()
-            : gain / static_cast<double>(bytes);
-        heap.push(Item{ratio, k, true, 0, chunk, bytes});
-    };
-
-    std::uint64_t budget = cap_hbm;
-    for (std::uint32_t k = 0; k < members.size(); ++k) {
-        push_step(k, 1);
-        push_tail(k);
-    }
-    while (!heap.empty()) {
-        const Item item = heap.top();
-        heap.pop();
-        if (item.deltaBytes > budget)
-            continue; // this sequence's later increments only grow
-        budget -= item.deltaBytes;
-        if (item.isTail) {
-            out.tailTaken[item.member] += item.deltaRows;
-            push_tail(item.member);
-        } else {
-            out.step[item.member] = item.nextStep;
-            push_step(item.member, item.nextStep + 1);
-        }
-    }
-    for (std::uint32_t k = 0; k < members.size(); ++k) {
-        out.hbmRows[k] =
-            inputs[members[k]].icdfRows[out.step[k]] +
-            out.tailTaken[k];
-    }
-
-    // Forced spill: if the UVM budget still overflows, move
-    // whatever rows remain into leftover HBM, largest tails first.
-    std::uint64_t uvm_bytes = 0;
-    for (std::uint32_t k = 0; k < members.size(); ++k) {
-        const auto &in = inputs[members[k]];
-        uvm_bytes += in.tableBytes - out.hbmRows[k] * in.rowBytes;
-    }
-    if (uvm_bytes > cap_uvm) {
-        std::uint64_t need = uvm_bytes - cap_uvm;
-        std::vector<std::uint32_t> order(members.size());
-        std::iota(order.begin(), order.end(), 0);
-        std::sort(order.begin(), order.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                      const auto ta = inputs[members[a]].hashSize -
-                          out.hbmRows[a];
-                      const auto tb = inputs[members[b]].hashSize -
-                          out.hbmRows[b];
-                      if (ta != tb)
-                          return ta > tb;
-                      return a < b;
-                  });
-        for (const std::uint32_t k : order) {
-            if (need == 0)
-                break;
-            const auto &in = inputs[members[k]];
-            const std::uint64_t movable_rows = std::min(
-                in.hashSize - out.hbmRows[k], budget / in.rowBytes);
-            const std::uint64_t moved = std::min(
-                movable_rows,
-                (need + in.rowBytes - 1) / in.rowBytes);
-            out.hbmRows[k] += moved;
-            const std::uint64_t tail_part = std::min(
-                moved, in.tailRows - out.tailTaken[k]);
-            out.tailTaken[k] += tail_part;
-            budget -= moved * in.rowBytes;
-            need -= std::min(need, moved * in.rowBytes);
-        }
-        if (need > 0)
-            return out; // infeasible: both tiers exhausted
-    }
-
-    out.feasible = true;
-    for (std::uint32_t k = 0; k < members.size(); ++k) {
-        const auto &in = inputs[members[k]];
-        out.cost += ctx.cost(
-            curves[members[k]].wBytes,
-            embHbmTruePct(in, out.step[k], out.tailTaken[k]));
-    }
-    return out;
-}
+using Priced = SplitWalker::Priced;
+constexpr std::uint32_t kNone = SplitWalker::kNone;
 
 } // namespace
-
-GpuBudgetSplit
-splitGpuBudget(const std::vector<EmbShardInput> &inputs,
-               const EmbCostModel &cost_model, std::uint32_t batch,
-               const std::vector<std::uint32_t> &members,
-               std::uint64_t cap_hbm, std::uint64_t cap_uvm)
-{
-    SolverCtx ctx;
-    ctx.bwHbm = cost_model.hbmBandwidth();
-    ctx.bwUvm = cost_model.uvmBandwidth();
-    ctx.combine = cost_model.combine();
-    std::vector<Curve> curves(inputs.size());
-    for (const std::uint32_t j : members)
-        curves[j] = buildCurve(inputs[j], batch, ctx);
-    return splitMembers(inputs, curves, ctx, members, cap_hbm,
-                        cap_uvm);
-}
 
 ShardingPlan
 recShardPlan(const ModelSpec &model,
@@ -278,32 +48,25 @@ recShardPlan(const ModelSpec &model,
              "model '", model.name, "' (", total_bytes,
              " bytes) cannot fit the system even using UVM");
 
-    SolverCtx ctx;
-    ctx.bwHbm = cost_model.hbmBandwidth();
-    ctx.bwUvm = cost_model.uvmBandwidth();
-    ctx.combine = cost_model.combine();
-
-    std::vector<Curve> curves(J);
-    for (std::uint32_t j = 0; j < J; ++j)
-        curves[j] = buildCurve(inputs[j], opts.batchSize, ctx);
+    SplitWalker walker(inputs, cost_model, opts.batchSize);
+    const std::uint64_t cap_hbm = system.hbm.capacityBytes;
+    const std::uint64_t cap_uvm = system.uvm.capacityBytes;
 
     // ---- Phase 1: global split over the pooled HBM budget --------
     std::vector<std::uint32_t> all(J);
     std::iota(all.begin(), all.end(), 0);
-    const GpuBudgetSplit global = splitMembers(
-        inputs, curves, ctx, all,
-        static_cast<std::uint64_t>(M) * system.hbm.capacityBytes,
-        static_cast<std::uint64_t>(M) * system.uvm.capacityBytes);
+    const GpuBudgetSplit global =
+        walker.split(all, walker.walkList(all),
+                     static_cast<std::uint64_t>(M) * cap_hbm,
+                     static_cast<std::uint64_t>(M) * cap_uvm);
     fatal_if(!global.feasible,
              "global split infeasible despite capacity pre-check");
 
     // ---- Phase 2: LPT assignment of estimated costs ---------------
     std::vector<double> est_cost(J);
     for (std::uint32_t j = 0; j < J; ++j)
-        est_cost[j] = ctx.cost(
-            curves[j].wBytes,
-            embHbmTruePct(inputs[j], global.step[j],
-                          global.tailTaken[j]));
+        est_cost[j] = walker.embCost(j, global.step[j],
+                                     global.tailTaken[j]);
 
     std::vector<std::uint32_t> order(J);
     std::iota(order.begin(), order.end(), 0);
@@ -355,11 +118,12 @@ recShardPlan(const ModelSpec &model,
     }
 
     // ---- Phase 3: per-GPU re-split under real budgets -------------
+    std::vector<std::vector<SplitWalker::Block>> lists(M);
     std::vector<GpuBudgetSplit> splits(M);
     auto resplit = [&](std::uint32_t m) {
-        splits[m] = splitMembers(inputs, curves, ctx, members[m],
-                                 system.hbm.capacityBytes,
-                                 system.uvm.capacityBytes);
+        lists[m] = walker.walkList(members[m]);
+        splits[m] = walker.split(members[m], lists[m], cap_hbm,
+                                 cap_uvm);
     };
     for (std::uint32_t m = 0; m < M; ++m)
         resplit(m);
@@ -424,8 +188,12 @@ recShardPlan(const ModelSpec &model,
         return mx;
     };
 
-    for (std::uint32_t round = 0; round < opts.localSearchRounds;
-         ++round) {
+    // A candidate improves only if its max lands this far below the
+    // incumbent; any cost bound at or above it prunes the candidate.
+    auto improves = [](double cand, double best) {
+        return cand < best - 1e-15;
+    };
+    for (std::uint32_t round = 0; round < kLocalSearchRounds; ++round) {
         const std::uint32_t g = bottleneck();
         const double current_max = splits[g].cost;
         if (members[g].empty())
@@ -433,48 +201,38 @@ recShardPlan(const ModelSpec &model,
 
         double best_max = current_max;
         int best_j = -1, best_h = -1, best_k = -1;
-        GpuBudgetSplit best_gs, best_hs;
 
         // Moves: each member of g to each other GPU. The removal
-        // split is shared across target GPUs.
-        for (std::size_t jj = 0; jj < members[g].size(); ++jj) {
+        // price is shared across target GPUs.
+        for (std::uint32_t jj = 0; jj < members[g].size(); ++jj) {
             const std::uint32_t j = members[g][jj];
-            std::vector<std::uint32_t> g_minus = members[g];
-            g_minus.erase(g_minus.begin() +
-                          static_cast<std::ptrdiff_t>(jj));
-            const GpuBudgetSplit gs = splitMembers(
-                inputs, curves, ctx, g_minus,
-                system.hbm.capacityBytes,
-                system.uvm.capacityBytes);
+            const Priced gs = walker.price(members[g], lists[g], jj,
+                                           kNone, cap_hbm, cap_uvm);
             if (!gs.feasible)
                 continue;
             for (std::uint32_t h = 0; h < M; ++h) {
                 if (h == g)
                     continue;
-                std::vector<std::uint32_t> h_plus = members[h];
-                h_plus.push_back(j);
-                const GpuBudgetSplit hs = splitMembers(
-                    inputs, curves, ctx, h_plus,
-                    system.hbm.capacityBytes,
-                    system.uvm.capacityBytes);
+                const double bound =
+                    std::max(max_excluding(g, h), gs.cost);
+                if (!improves(bound, best_max))
+                    continue;
+                const Priced hs = walker.price(
+                    members[h], lists[h], kNone, j, cap_hbm, cap_uvm);
                 if (!hs.feasible)
                     continue;
-                const double cand = std::max(
-                    {max_excluding(g, h), gs.cost, hs.cost});
-                if (cand < best_max - 1e-15) {
+                const double cand = std::max(bound, hs.cost);
+                if (improves(cand, best_max)) {
                     best_max = cand;
                     best_j = static_cast<int>(j);
                     best_h = static_cast<int>(h);
-                    best_k = -1;
-                    best_gs = gs;
-                    best_hs = hs;
                 }
             }
         }
 
         // Swaps: bottleneck's costliest members against other GPUs'
         // members (tried only when no improving move exists).
-        if (best_j < 0 && opts.enableSwaps) {
+        if (best_j < 0) {
             std::vector<std::uint32_t> heavy = members[g];
             std::sort(heavy.begin(), heavy.end(),
                       [&](std::uint32_t a, std::uint32_t b) {
@@ -483,40 +241,37 @@ recShardPlan(const ModelSpec &model,
             if (heavy.size() > 8)
                 heavy.resize(8);
             for (const std::uint32_t j : heavy) {
+                const auto jj = static_cast<std::uint32_t>(
+                    std::find(members[g].begin(), members[g].end(), j) -
+                    members[g].begin());
                 for (std::uint32_t h = 0; h < M && best_j < 0; ++h) {
                     if (h == g)
                         continue;
-                    for (const std::uint32_t k : members[h]) {
-                        std::vector<std::uint32_t> g_new, h_new;
-                        for (const auto x : members[g])
-                            if (x != j)
-                                g_new.push_back(x);
-                        g_new.push_back(k);
-                        for (const auto x : members[h])
-                            if (x != k)
-                                h_new.push_back(x);
-                        h_new.push_back(j);
-                        const GpuBudgetSplit gs = splitMembers(
-                            inputs, curves, ctx, g_new,
-                            system.hbm.capacityBytes,
-                            system.uvm.capacityBytes);
+                    const double others = max_excluding(g, h);
+                    if (!improves(others, best_max))
+                        continue;
+                    for (std::uint32_t kk = 0; kk < members[h].size();
+                         ++kk) {
+                        const std::uint32_t k = members[h][kk];
+                        const Priced gs =
+                            walker.price(members[g], lists[g], jj, k,
+                                         cap_hbm, cap_uvm);
                         if (!gs.feasible)
                             continue;
-                        const GpuBudgetSplit hs = splitMembers(
-                            inputs, curves, ctx, h_new,
-                            system.hbm.capacityBytes,
-                            system.uvm.capacityBytes);
+                        const double bound = std::max(others, gs.cost);
+                        if (!improves(bound, best_max))
+                            continue;
+                        const Priced hs =
+                            walker.price(members[h], lists[h], kk, j,
+                                         cap_hbm, cap_uvm);
                         if (!hs.feasible)
                             continue;
-                        const double cand = std::max(
-                            {max_excluding(g, h), gs.cost, hs.cost});
-                        if (cand < best_max - 1e-15) {
+                        const double cand = std::max(bound, hs.cost);
+                        if (improves(cand, best_max)) {
                             best_max = cand;
                             best_j = static_cast<int>(j);
                             best_h = static_cast<int>(h);
                             best_k = static_cast<int>(k);
-                            best_gs = gs;
-                            best_hs = hs;
                             break;
                         }
                     }
@@ -543,8 +298,8 @@ recShardPlan(const ModelSpec &model,
         } else {
             ++moves;
         }
-        // Member vectors were rebuilt in candidate order inside the
-        // evaluation; recompute splits to match the new membership.
+        // The new member orders match the priced candidate's; rebuild
+        // the two touched GPUs' walk lists and splits.
         resplit(g);
         resplit(uh);
     }

@@ -4,8 +4,9 @@
  *
  * Searches the same decision space as the exact MILP (per-EMB GPU
  * assignment x ICDF split step) but exploits its structure so that
- * the paper's full-scale instances (397 EMBs x 16 GPUs x 101 steps,
- * ~47k binaries) solve in well under a minute on one core:
+ * the paper's full-scale instance (397 EMBs x 16 GPUs x 101 steps,
+ * ~47k binaries) solves in about 0.9 s (bench_overhead, Release
+ * build, one core of a 4-core Intel Xeon VM):
  *
  *  1. Global split selection: because each EMB's frequency CDF is
  *     concave, the marginal access coverage per HBM byte is
@@ -16,10 +17,17 @@
  *     resulting per-EMB costs onto GPUs under both capacity limits.
  *  3. Per-GPU re-split: the greedy allocation is re-run inside each
  *     GPU's actual HBM budget, restoring per-GPU feasibility.
- *  4. Local search: move/swap refinement against the bottleneck GPU
- *     with re-splitting, which recovers the MILP's one-shot global
- *     balancing. The test suite checks this lands within a small
- *     gap of the exact MILP optimum on randomized instances.
+ *  4. Local search: move/swap refinement against the bottleneck GPU,
+ *     which recovers the MILP's one-shot global balancing. Every
+ *     split is a walk over a GPU's increment blocks, cut once per
+ *     solve and kept sorted per GPU (sharding/split_walk.hh). A
+ *     candidate is priced by one linear walk over the touched GPU's
+ *     list that skips the departing EMB and merges the arriving
+ *     one's blocks in last; a receiver is not priced at all when the
+ *     other GPUs or the donor's new cost already rule the candidate
+ *     out. An accepted step re-sorts only the two GPUs it touches.
+ *     The test suite checks this lands within a small gap of the
+ *     exact MILP optimum on randomized instances.
  */
 
 #ifndef RECSHARD_SHARDING_RECSHARD_SOLVER_HH
@@ -39,9 +47,6 @@ struct RecShardOptions
     unsigned icdfSteps = 100;     //!< paper: 100 uniform steps
     AblationSwitches ablation;
     EmbCostModel::Combine combine = EmbCostModel::Combine::Sum;
-    std::uint32_t localSearchRounds = 400;
-    /** Consider swaps (not just moves) during local search. */
-    bool enableSwaps = true;
 };
 
 /** Diagnostics of a RecShard solve. */
@@ -67,30 +72,6 @@ ShardingPlan recShardPlan(const ModelSpec &model,
                           const SystemSpec &system,
                           const RecShardOptions &options = {},
                           RecShardStats *stats = nullptr);
-
-/** Split decision for a set of EMBs sharing one HBM/UVM budget. */
-struct GpuBudgetSplit
-{
-    bool feasible = false;
-    double cost = 0.0;  //!< summed coverage-weighted member costs
-    std::vector<std::uint64_t> hbmRows; //!< parallel to members
-    std::vector<unsigned> step;         //!< chosen ICDF step
-    std::vector<std::uint64_t> tailTaken;
-};
-
-/**
- * The solver's per-GPU split step as a standalone building block
- * (used by the lp-rounding planner to repair a GPU assignment into
- * a feasible pin set): greedy marginal-benefit allocation of
- * `cap_hbm` across the listed member EMBs, with a forced spill into
- * leftover HBM when `cap_uvm` would overflow. Optimal for the
- * relaxed per-GPU problem because each profiled ICDF is concave.
- */
-GpuBudgetSplit
-splitGpuBudget(const std::vector<EmbShardInput> &inputs,
-               const EmbCostModel &cost_model, std::uint32_t batch,
-               const std::vector<std::uint32_t> &members,
-               std::uint64_t cap_hbm, std::uint64_t cap_uvm);
 
 } // namespace recshard
 

@@ -10,6 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <queue>
 
 #include "recshard/base/random.hh"
 #include "recshard/datagen/model_zoo.hh"
@@ -17,6 +21,7 @@
 #include "recshard/sharding/baselines.hh"
 #include "recshard/sharding/milp_formulation.hh"
 #include "recshard/sharding/recshard_solver.hh"
+#include "recshard/sharding/split_walk.hh"
 
 namespace {
 
@@ -366,6 +371,472 @@ TEST(RecShardSolver, InfeasibleModelIsFatal)
     sys.uvm.capacityBytes = 1024;
     EXPECT_EXIT(recShardPlan(w.model, w.profiles, sys),
                 ::testing::ExitedWithCode(1), "exceeds");
+}
+
+/**
+ * Golden pins: per-table placement, local-search counts and the
+ * bottleneck bits of three small solves, recorded from the
+ * heap-based split the block walk replaced. The first instance
+ * accepts both moves and swaps, the third only swaps.
+ */
+struct GoldenSolve
+{
+    std::uint32_t features;
+    std::uint64_t rows;
+    std::uint64_t seed;
+    std::uint32_t gpus;
+    std::uint64_t hbmDiv;  //!< per-GPU HBM = model bytes / hbmDiv
+    std::uint64_t uvmDiv;  //!< per-GPU UVM = model bytes / uvmDiv
+    unsigned icdfSteps;
+    std::uint32_t moves;
+    std::uint32_t swaps;
+    double bottleneckCost;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> tables;
+};
+
+TEST(RecShardSolver, GoldenPlansArePinned)
+{
+    const std::vector<GoldenSolve> golden = {
+        {12, 4000, 17, 4, 4, 1, 20, 4, 4, 0x1.f7333d9157bf3p-19,
+         {{0, 2446}, {1, 8179}, {2, 214}, {3, 712}, {0, 5801},
+          {2, 2904}, {3, 16}, {2, 4701}, {3, 135}, {3, 10487},
+          {1, 1795}, {2, 4176}}},
+        {20, 3000, 9, 4, 12, 1, 100, 3, 0, 0x1.3ade450c38607p-14,
+         {{3, 13}, {0, 2361}, {0, 48}, {1, 16}, {3, 16}, {3, 476},
+          {1, 4398}, {3, 55}, {1, 16}, {1, 16}, {0, 1157}, {3, 517},
+          {3, 2655}, {3, 95}, {1, 248}, {3, 302}, {0, 994}, {3, 871},
+          {2, 4910}, {1, 297}}},
+        {16, 4000, 17, 3, 12, 2, 100, 0, 3, 0x1.b6e99cde98c43p-16,
+         {{1, 785}, {0, 4250}, {0, 128}, {0, 749}, {0, 28}, {1, 306},
+          {0, 16}, {2, 3942}, {0, 40}, {2, 970}, {1, 1720},
+          {1, 1258}, {0, 106}, {2, 408}, {0, 16}, {1, 1256}}},
+    };
+    for (const GoldenSolve &g : golden) {
+        SCOPED_TRACE(g.features);
+        const Workload w = makeWorkload(g.features, g.rows, g.seed,
+                                        8000);
+        SystemSpec sys = SystemSpec::paper(g.gpus, 1.0);
+        sys.hbm.capacityBytes = w.model.totalBytes() / g.hbmDiv;
+        sys.uvm.capacityBytes = w.model.totalBytes() / g.uvmDiv;
+        RecShardOptions opts;
+        opts.batchSize = 4096;
+        opts.icdfSteps = g.icdfSteps;
+        RecShardStats stats;
+        const ShardingPlan plan = recShardPlan(w.model, w.profiles,
+                                               sys, opts, &stats);
+        EXPECT_EQ(stats.moves, g.moves);
+        EXPECT_EQ(stats.swaps, g.swaps);
+        std::uint64_t got_bits = 0, want_bits = 0;
+        std::memcpy(&got_bits, &stats.bottleneckCost, sizeof(double));
+        std::memcpy(&want_bits, &g.bottleneckCost, sizeof(double));
+        EXPECT_EQ(got_bits, want_bits) << stats.bottleneckCost;
+        ASSERT_EQ(plan.tables.size(), g.tables.size());
+        for (std::size_t j = 0; j < g.tables.size(); ++j) {
+            EXPECT_EQ(plan.tables[j].gpu, g.tables[j].first) << j;
+            EXPECT_EQ(plan.tables[j].hbmRows, g.tables[j].second) << j;
+        }
+    }
+}
+
+// ------------------------------------ per-GPU split vs heap oracle
+
+/** What the heap oracle saw, so the sweep can prove its coverage. */
+struct HeapTrace
+{
+    bool spilled = false;
+};
+
+/**
+ * Reference split: a max-heap offers each member's next increment
+ * (profiled ICDF step or tail chunk) and pops the best gain per
+ * byte; an increment that does not fit ends its sequence. Then a
+ * forced spill when UVM overflows. This is the solver's split as it
+ * stood before the block walk, kept as the oracle the walk must
+ * match bit for bit.
+ */
+GpuBudgetSplit
+heapSplit(const std::vector<EmbShardInput> &inputs,
+          const EmbCostModel &cost_model, std::uint32_t batch,
+          const std::vector<std::uint32_t> &members,
+          std::uint64_t cap_hbm, std::uint64_t cap_uvm,
+          HeapTrace &trace)
+{
+    const double bw_hbm = cost_model.hbmBandwidth();
+    const double bw_uvm = cost_model.uvmBandwidth();
+    const bool sum = cost_model.combine() == EmbCostModel::Combine::Sum;
+    auto cost = [&](double w_bytes, double true_pct) {
+        const double uvm = (1.0 - true_pct) * w_bytes / bw_uvm;
+        const double hbm = true_pct * w_bytes / bw_hbm;
+        return sum ? uvm + hbm : std::max(uvm, hbm);
+    };
+    struct Curve
+    {
+        double wBytes = 0.0;
+        double stepGain = 0.0;
+        double tailGainPerRow = 0.0;
+    };
+    std::vector<Curve> curves(inputs.size());
+    for (const std::uint32_t j : members) {
+        const auto &in = inputs[j];
+        Curve &c = curves[j];
+        c.wBytes = in.coverage * in.avgPool *
+            static_cast<double>(in.rowBytes) *
+            static_cast<double>(batch);
+        const double gain_unit = c.wBytes * (1.0 / bw_uvm - 1.0 / bw_hbm);
+        c.stepGain = gain_unit * (1.0 - in.missingMass) / in.numSteps();
+        c.tailGainPerRow = in.tailRows == 0
+            ? 0.0
+            : gain_unit * in.missingMass /
+                static_cast<double>(in.tailRows);
+    }
+    auto true_pct = [](const EmbShardInput &in, unsigned step,
+                       std::uint64_t tail_taken) {
+        const double profiled = (1.0 - in.missingMass) *
+            static_cast<double>(step) / in.numSteps();
+        const double tail = in.tailRows == 0
+            ? in.missingMass
+            : in.missingMass * static_cast<double>(tail_taken) /
+                static_cast<double>(in.tailRows);
+        return profiled + tail;
+    };
+
+    GpuBudgetSplit out;
+    out.step.assign(members.size(), 0);
+    out.hbmRows.assign(members.size(), 0);
+    out.tailTaken.assign(members.size(), 0);
+
+    struct Item
+    {
+        double ratio;
+        std::uint32_t member;
+        bool isTail;
+        unsigned nextStep;
+        std::uint64_t deltaRows;
+        std::uint64_t deltaBytes;
+    };
+    auto cmp = [](const Item &a, const Item &b) {
+        if (a.ratio != b.ratio)
+            return a.ratio < b.ratio;
+        if (a.member != b.member)
+            return a.member > b.member;
+        return a.isTail && !b.isTail;
+    };
+    std::priority_queue<Item, std::vector<Item>, decltype(cmp)>
+        heap(cmp);
+
+    auto push_step = [&](std::uint32_t k, unsigned next_step) {
+        const auto &in = inputs[members[k]];
+        if (next_step > in.numSteps())
+            return;
+        const std::uint64_t delta =
+            (in.icdfRows[next_step] - in.icdfRows[next_step - 1]) *
+            in.rowBytes;
+        const double gain = curves[members[k]].stepGain;
+        const double ratio = delta == 0
+            ? std::numeric_limits<double>::infinity()
+            : gain / static_cast<double>(delta);
+        heap.push(Item{ratio, k, false, next_step, 0, delta});
+    };
+    auto push_tail = [&](std::uint32_t k) {
+        const auto &in = inputs[members[k]];
+        const std::uint64_t left = in.tailRows - out.tailTaken[k];
+        if (left == 0)
+            return;
+        const std::uint64_t chunk =
+            std::min(left, std::max<std::uint64_t>(
+                               1, in.tailRows / 8));
+        const double gain = curves[members[k]].tailGainPerRow *
+            static_cast<double>(chunk);
+        const std::uint64_t bytes = chunk * in.rowBytes;
+        const double ratio = bytes == 0
+            ? std::numeric_limits<double>::infinity()
+            : gain / static_cast<double>(bytes);
+        heap.push(Item{ratio, k, true, 0, chunk, bytes});
+    };
+
+    std::uint64_t budget = cap_hbm;
+    for (std::uint32_t k = 0; k < members.size(); ++k) {
+        push_step(k, 1);
+        push_tail(k);
+    }
+    while (!heap.empty()) {
+        const Item item = heap.top();
+        heap.pop();
+        if (item.deltaBytes > budget)
+            continue;
+        budget -= item.deltaBytes;
+        if (item.isTail) {
+            out.tailTaken[item.member] += item.deltaRows;
+            push_tail(item.member);
+        } else {
+            out.step[item.member] = item.nextStep;
+            push_step(item.member, item.nextStep + 1);
+        }
+    }
+    for (std::uint32_t k = 0; k < members.size(); ++k) {
+        out.hbmRows[k] =
+            inputs[members[k]].icdfRows[out.step[k]] +
+            out.tailTaken[k];
+    }
+
+    std::uint64_t uvm_bytes = 0;
+    for (std::uint32_t k = 0; k < members.size(); ++k) {
+        const auto &in = inputs[members[k]];
+        uvm_bytes += in.tableBytes - out.hbmRows[k] * in.rowBytes;
+    }
+    if (uvm_bytes > cap_uvm) {
+        trace.spilled = true;
+        std::uint64_t need = uvm_bytes - cap_uvm;
+        std::vector<std::uint32_t> order(members.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      const auto ta = inputs[members[a]].hashSize -
+                          out.hbmRows[a];
+                      const auto tb = inputs[members[b]].hashSize -
+                          out.hbmRows[b];
+                      if (ta != tb)
+                          return ta > tb;
+                      return a < b;
+                  });
+        for (const std::uint32_t k : order) {
+            if (need == 0)
+                break;
+            const auto &in = inputs[members[k]];
+            const std::uint64_t movable_rows = std::min(
+                in.hashSize - out.hbmRows[k], budget / in.rowBytes);
+            const std::uint64_t moved = std::min(
+                movable_rows,
+                (need + in.rowBytes - 1) / in.rowBytes);
+            out.hbmRows[k] += moved;
+            const std::uint64_t tail_part = std::min(
+                moved, in.tailRows - out.tailTaken[k]);
+            out.tailTaken[k] += tail_part;
+            budget -= moved * in.rowBytes;
+            need -= std::min(need, moved * in.rowBytes);
+        }
+        if (need > 0)
+            return out;
+    }
+
+    out.feasible = true;
+    for (std::uint32_t k = 0; k < members.size(); ++k) {
+        const auto &in = inputs[members[k]];
+        out.cost += cost(curves[members[k]].wBytes,
+                         true_pct(in, out.step[k], out.tailTaken[k]));
+    }
+    return out;
+}
+
+/**
+ * Random EMB biased towards the split's corner cases: integer ICDF
+ * deltas that rise and fall, zero-row steps, power-of-two geometry
+ * (so gains per byte tie exactly across members and between a
+ * member's steps and its tail chunks), and tail-only tables.
+ */
+EmbShardInput
+randomSplitEmb(Rng &rng)
+{
+    auto pick = [&](std::initializer_list<std::uint64_t> v) {
+        const auto last = static_cast<std::int64_t>(v.size()) - 1;
+        return *(v.begin() + rng.uniformInt(0, last));
+    };
+    EmbShardInput in;
+    in.rowBytes = rng.bernoulli(0.8) ? pick({4, 8, 16, 64})
+                                     : static_cast<std::uint64_t>(
+                                           rng.uniformInt(1, 100));
+    in.avgPool = rng.bernoulli(0.7)
+        ? static_cast<double>(pick({1, 2, 4}))
+        : rng.uniform(0.5, 8.0);
+    in.coverage = rng.bernoulli(0.7) ? 1.0 : rng.uniform(0.1, 1.0);
+    const bool tail_only = rng.bernoulli(0.1);
+    const auto steps = static_cast<unsigned>(
+        rng.bernoulli(0.7) ? pick({1, 2, 4, 8}) : rng.uniformInt(1, 20));
+    in.icdfRows.assign(steps + 1, 0);
+    for (unsigned s = 1; s <= steps; ++s) {
+        std::uint64_t delta = 0;
+        if (!tail_only)
+            delta = rng.bernoulli(0.7)
+                ? pick({0, 1, 2, 4})
+                : static_cast<std::uint64_t>(rng.uniformInt(0, 60));
+        in.icdfRows[s] = in.icdfRows[s - 1] + delta;
+    }
+    in.tailRows = rng.bernoulli(0.7) ? pick({0, 1, 5, 8, 16, 64})
+                                     : static_cast<std::uint64_t>(
+                                           rng.uniformInt(0, 300));
+    if (tail_only && in.tailRows == 0)
+        in.tailRows = 16;
+    if (tail_only)
+        in.missingMass = 1.0;
+    else if (in.tailRows > 0)
+        in.missingMass = rng.bernoulli(0.6) ? 0.5 : rng.uniform(0.0, 1.0);
+    in.hashSize = in.icdfRows.back() + in.tailRows;
+    in.tableBytes = in.hashSize * in.rowBytes;
+    return in;
+}
+
+TEST(RecShardSolver, SplitWalkMatchesHeapOracleBitForBit)
+{
+    Rng rng(2024);
+    const SystemSpec sys = SystemSpec::paper(1, 1.0);
+    const EmbCostModel sum_model(sys, EmbCostModel::Combine::Sum);
+    const EmbCostModel max_model(sys, EmbCostModel::Combine::Max);
+
+    // Corner cases the sweep must have hit for the check to count.
+    int non_monotone = 0, zero_byte_step = 0, tied_members = 0,
+        tied_step_tail = 0, tail_only = 0, spilled = 0, infeasible = 0;
+
+    for (int trial = 0; trial < 3000; ++trial) {
+        // A pool with clones, so members share exact gain-per-byte.
+        std::vector<EmbShardInput> inputs;
+        const auto pool = static_cast<std::uint32_t>(
+            rng.uniformInt(1, 10));
+        for (std::uint32_t j = 0; j < pool; ++j) {
+            if (j > 0 && rng.bernoulli(0.25))
+                inputs.push_back(inputs[static_cast<std::size_t>(
+                    rng.uniformInt(0, j - 1))]);
+            else
+                inputs.push_back(randomSplitEmb(rng));
+        }
+        std::vector<std::uint32_t> members;
+        for (std::uint32_t j = 0; j < pool; ++j)
+            if (rng.bernoulli(0.8))
+                members.push_back(j);
+        for (std::size_t k = members.size(); k > 1; --k)
+            std::swap(members[k - 1],
+                      members[static_cast<std::size_t>(rng.uniformInt(
+                          0, static_cast<std::int64_t>(k) - 1))]);
+
+        std::uint64_t total = 0;
+        for (const std::uint32_t j : members)
+            total += inputs[j].tableBytes;
+        const double hbm_frac = rng.bernoulli(0.1)
+            ? 0.0
+            : rng.uniform(0.0, 1.1);
+        const double uvm_frac = rng.bernoulli(0.5)
+            ? 2.0
+            : rng.uniform(0.0, 1.0);
+        const auto cap_hbm = static_cast<std::uint64_t>(
+            hbm_frac * static_cast<double>(total));
+        const auto cap_uvm = static_cast<std::uint64_t>(
+            uvm_frac * static_cast<double>(total));
+        const std::uint32_t batch = rng.bernoulli(0.5) ? 4096 : 1000;
+        const EmbCostModel &model =
+            rng.bernoulli(0.8) ? sum_model : max_model;
+
+        HeapTrace trace;
+        const GpuBudgetSplit want = heapSplit(
+            inputs, model, batch, members, cap_hbm, cap_uvm, trace);
+        SplitWalker walker(inputs, model, batch);
+        const GpuBudgetSplit got = walker.split(
+            members, walker.walkList(members), cap_hbm, cap_uvm);
+        ASSERT_EQ(got.feasible, want.feasible) << "trial " << trial;
+        ASSERT_EQ(got.step, want.step) << "trial " << trial;
+        ASSERT_EQ(got.tailTaken, want.tailTaken) << "trial " << trial;
+        ASSERT_EQ(got.hbmRows, want.hbmRows) << "trial " << trial;
+        std::uint64_t got_bits = 0, want_bits = 0;
+        std::memcpy(&got_bits, &got.cost, sizeof(double));
+        std::memcpy(&want_bits, &want.cost, sizeof(double));
+        ASSERT_EQ(got_bits, want_bits) << "trial " << trial;
+
+        // The local search's pricing path: the same members with one
+        // removed and/or a non-member appended, walked from the
+        // unchanged members' list.
+        std::vector<std::uint32_t> outsiders;
+        for (std::uint32_t j = 0; j < pool; ++j)
+            if (std::find(members.begin(), members.end(), j) ==
+                members.end())
+                outsiders.push_back(j);
+        const std::uint32_t skip =
+            members.empty() || rng.bernoulli(0.3)
+            ? SplitWalker::kNone
+            : static_cast<std::uint32_t>(rng.uniformInt(
+                  0, static_cast<std::int64_t>(members.size()) - 1));
+        const std::uint32_t arrive =
+            outsiders.empty() || rng.bernoulli(0.2)
+            ? SplitWalker::kNone
+            : outsiders[static_cast<std::size_t>(rng.uniformInt(
+                  0, static_cast<std::int64_t>(outsiders.size()) - 1))];
+        std::vector<std::uint32_t> cand;
+        for (std::uint32_t k = 0; k < members.size(); ++k)
+            if (k != skip)
+                cand.push_back(members[k]);
+        if (arrive != SplitWalker::kNone)
+            cand.push_back(arrive);
+        HeapTrace cand_trace;
+        const GpuBudgetSplit cand_want = heapSplit(
+            inputs, model, batch, cand, cap_hbm, cap_uvm, cand_trace);
+        const SplitWalker::Priced cand_got =
+            walker.price(members, walker.walkList(members), skip,
+                         arrive, cap_hbm, cap_uvm);
+        ASSERT_EQ(cand_got.feasible, cand_want.feasible)
+            << "trial " << trial;
+        std::memcpy(&got_bits, &cand_got.cost, sizeof(double));
+        std::memcpy(&want_bits, &cand_want.cost, sizeof(double));
+        ASSERT_EQ(got_bits, want_bits) << "trial " << trial;
+
+        spilled += trace.spilled;
+        infeasible += !want.feasible;
+        // Classify the instance from the members' gain-per-byte
+        // sequences (same arithmetic as the oracle's curves).
+        const double gain_unit_per_w =
+            1.0 / model.uvmBandwidth() - 1.0 / model.hbmBandwidth();
+        std::vector<std::vector<double>> ratios;
+        for (const std::uint32_t j : members) {
+            const auto &in = inputs[j];
+            const double w = in.coverage * in.avgPool *
+                static_cast<double>(in.rowBytes) *
+                static_cast<double>(batch);
+            const double gain_unit = w * gain_unit_per_w;
+            const double step_gain =
+                gain_unit * (1.0 - in.missingMass) / in.numSteps();
+            std::vector<double> r;
+            bool ratio_rose = false, zero = false;
+            std::uint64_t prev = 0;
+            for (unsigned s = 1; s <= in.numSteps(); ++s) {
+                const std::uint64_t d = in.icdfRows[s] - in.icdfRows[s - 1];
+                zero |= d == 0;
+                ratio_rose |= s > 1 && d > 0 && d < prev;
+                prev = d;
+                if (d > 0)
+                    r.push_back(step_gain /
+                                static_cast<double>(d * in.rowBytes));
+            }
+            non_monotone += ratio_rose;
+            zero_byte_step += zero;
+            tail_only += in.icdfRows.back() == 0 && in.tailRows > 0;
+            if (in.tailRows > 0) {
+                const double per_row = gain_unit * in.missingMass /
+                    static_cast<double>(in.tailRows);
+                const std::uint64_t chunk =
+                    std::max<std::uint64_t>(1, in.tailRows / 8);
+                const double tail_ratio =
+                    per_row * static_cast<double>(chunk) /
+                    static_cast<double>(chunk * in.rowBytes);
+                tied_step_tail += std::find(r.begin(), r.end(),
+                                            tail_ratio) != r.end();
+            }
+            ratios.push_back(std::move(r));
+        }
+        auto members_tie = [&] {
+            for (std::size_t a = 0; a < ratios.size(); ++a)
+                for (std::size_t b = a + 1; b < ratios.size(); ++b)
+                    for (const double x : ratios[a])
+                        if (std::find(ratios[b].begin(),
+                                      ratios[b].end(),
+                                      x) != ratios[b].end())
+                            return true;
+            return false;
+        };
+        tied_members += members_tie();
+    }
+    EXPECT_GT(non_monotone, 0);
+    EXPECT_GT(zero_byte_step, 0);
+    EXPECT_GT(tied_members, 0);
+    EXPECT_GT(tied_step_tail, 0);
+    EXPECT_GT(tail_only, 0);
+    EXPECT_GT(spilled, 0);
+    EXPECT_GT(infeasible, 0);
 }
 
 /**
