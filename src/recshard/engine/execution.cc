@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 
 namespace recshard {
 
@@ -97,6 +98,7 @@ ExecutionEngine::replay(
              ") != plans (", P, ")");
     fatal_if(config.measureIterations == 0,
              "need at least one measured iteration");
+    fatal_if(config.batchSize == 0, "batch size must be >= 1");
     for (std::size_t p = 0; p < P; ++p) {
         plans[p]->validate(model, system);
         fatal_if(resolvers[p].size() != J,
@@ -115,30 +117,49 @@ ExecutionEngine::replay(
         results[p].traffic.assign(M, GpuTraffic{});
     }
 
-    const std::uint32_t total_iters = config.warmupIterations +
-        config.measureIterations;
+    // Resolvers hold no state, so warm-up iterations would only
+    // generate and resolve batches to discard them: skip straight to
+    // the first measured batch index.
+    const std::uint32_t iters = config.measureIterations;
+    const std::uint64_t first_batch = config.firstBatchIndex +
+        config.warmupIterations;
+    // Work item k = iter * J + j is one EMB of one iteration. It
+    // writes only its own slots: its lookup count and, per plan, its
+    // HBM hits. The merge below reads them back in (iter, j, plan)
+    // order, so every result is independent of the worker count.
+    const std::size_t items = static_cast<std::size_t>(iters) * J;
+    std::vector<std::uint64_t> item_lookups(items);
+    std::vector<std::uint64_t> item_hbm(items * P);
+    parallelFor(items, [&](std::size_t k) {
+        const auto j = static_cast<std::uint32_t>(k % J);
+        const FeatureBatch fb = data.featureBatch(
+            j, config.batchSize, first_batch + k / J);
+        item_lookups[k] = fb.indices.size();
+        for (std::size_t p = 0; p < P; ++p) {
+            const TierResolver &res = resolvers[p][j];
+            std::uint64_t hbm = 0;
+            for (const std::uint64_t idx : fb.indices)
+                hbm += res.inHbm(idx);
+            item_hbm[k * P + p] = hbm;
+        }
+    });
+
     // Per plan x GPU per-iteration byte counters, reused each iter.
     std::vector<std::vector<GpuTraffic>> iter_traffic(
         P, std::vector<GpuTraffic>(M));
-
-    for (std::uint32_t iter = 0; iter < total_iters; ++iter) {
-        const bool measured = iter >= config.warmupIterations;
+    for (std::uint32_t iter = 0; iter < iters; ++iter) {
         for (auto &per_plan : iter_traffic)
             std::fill(per_plan.begin(), per_plan.end(),
                       GpuTraffic{});
 
         for (std::uint32_t j = 0; j < J; ++j) {
-            const FeatureBatch fb = data.featureBatch(
-                j, config.batchSize, config.firstBatchIndex + iter);
+            const std::size_t k = static_cast<std::size_t>(iter) * J + j;
             const std::uint64_t row_bytes =
                 model.features[j].rowBytes();
             for (std::size_t p = 0; p < P; ++p) {
-                const TierResolver &res = resolvers[p][j];
                 const std::uint32_t gpu = plans[p]->tables[j].gpu;
-                std::uint64_t hbm = 0;
-                for (const std::uint64_t idx : fb.indices)
-                    hbm += res.inHbm(idx);
-                const std::uint64_t uvm = fb.indices.size() - hbm;
+                const std::uint64_t hbm = item_hbm[k * P + p];
+                const std::uint64_t uvm = item_lookups[k] - hbm;
                 GpuTraffic &t = iter_traffic[p][gpu];
                 t.hbmAccesses += hbm;
                 t.uvmAccesses += uvm;
@@ -147,8 +168,6 @@ ExecutionEngine::replay(
             }
         }
 
-        if (!measured)
-            continue;
         for (std::size_t p = 0; p < P; ++p) {
             double slowest = 0.0;
             for (std::uint32_t m = 0; m < M; ++m) {

@@ -13,6 +13,16 @@
  * Evaluating every plan against the *same* generated traffic both
  * halves generation cost and removes sampling noise from strategy
  * comparisons.
+ *
+ * EMBs are independent (own batch stream, own resolver, own GPU),
+ * so replay() generates and resolves them on a parallelFor worker
+ * team (base/parallel.hh). The result does not depend on the worker
+ * count: each work item (one EMB of one iteration) writes only its
+ * own integer counts, and after the join they are summed into
+ * per-GPU traffic and priced in the fixed (iteration, EMB, plan)
+ * order of a serial loop. Integer sums are exact in any order, and
+ * every floating-point step runs after the join, so a ReplayResult
+ * is bit-identical on one core or many.
  */
 
 #ifndef RECSHARD_ENGINE_EXECUTION_HH
@@ -35,6 +45,9 @@ namespace recshard {
 struct ReplayConfig
 {
     std::uint32_t batchSize = 16384;
+    /** Iterations before the measured window. Resolvers carry no
+     *  state, so warm-up is not replayed; it only moves the window
+     *  to batch indices firstBatchIndex + warmupIterations on. */
     std::uint32_t warmupIterations = 2;
     std::uint32_t measureIterations = 10;
     std::uint64_t firstBatchIndex = 0;

@@ -1,8 +1,10 @@
 #include "recshard/profiler/profiler.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 
 namespace recshard {
 
@@ -99,22 +101,28 @@ profileDataset(const SyntheticDataset &data, std::uint64_t num_samples,
                std::uint32_t batch_size)
 {
     fatal_if(num_samples == 0, "cannot profile zero samples");
+    fatal_if(batch_size == 0, "batch size must be >= 1");
     DataProfiler profiler(data.spec());
     // Batch-index region disjoint from training replay (which uses
     // small indices).
     constexpr std::uint64_t kProfileRegion = 1ULL << 40;
-    std::uint64_t remaining = num_samples;
-    std::uint64_t batch_index = kProfileRegion;
-    while (remaining > 0) {
-        const auto this_batch = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(batch_size, remaining));
-        for (std::uint32_t j = 0; j < data.spec().numFeatures(); ++j) {
+    // Features accumulate into disjoint state, so each worker walks
+    // one feature's batches in batch-index order; the profile is the
+    // one a serial loop over (batch, feature) would build.
+    parallelFor(data.spec().numFeatures(), [&](std::size_t j) {
+        const auto feature = static_cast<std::uint32_t>(j);
+        std::uint64_t remaining = num_samples;
+        std::uint64_t batch_index = kProfileRegion;
+        while (remaining > 0) {
+            const auto this_batch = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(batch_size, remaining));
             profiler.addFeatureBatch(
-                j, data.featureBatch(j, this_batch, batch_index));
+                feature,
+                data.featureBatch(feature, this_batch, batch_index));
+            remaining -= this_batch;
+            ++batch_index;
         }
-        remaining -= this_batch;
-        ++batch_index;
-    }
+    });
     return profiler.finalize();
 }
 

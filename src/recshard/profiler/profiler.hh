@@ -52,7 +52,8 @@ class DataProfiler
     explicit DataProfiler(const ModelSpec &spec,
                           std::uint64_t dense_threshold = 1ULL << 25);
 
-    /** Accumulate one feature's batch. */
+    /** Accumulate one feature's batch. Calls for distinct features
+     *  touch disjoint state and may run concurrently. */
     void addFeatureBatch(std::uint32_t feature,
                          const FeatureBatch &batch);
 
@@ -84,7 +85,8 @@ class DataProfiler
 /**
  * Convenience wrapper: profile `num_samples` samples drawn from the
  * dataset in batches of `batch_size`, using a batch-index region
- * disjoint from training replay.
+ * disjoint from training replay. Features are profiled in parallel
+ * (base/parallel.hh); the result equals a serial profile.
  */
 std::vector<EmbProfile> profileDataset(const SyntheticDataset &data,
                                        std::uint64_t num_samples,

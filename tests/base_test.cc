@@ -6,14 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "recshard/base/flags.hh"
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 #include "recshard/base/random.hh"
 #include "recshard/base/stats.hh"
 #include "recshard/base/table.hh"
@@ -300,6 +307,59 @@ TEST(Flags, MalformedNumberIsFatal)
     const char *argv[] = {"prog", "--gpus", "8x"};
     EXPECT_EXIT(flags.parse(3, const_cast<char **>(argv)),
                 ::testing::ExitedWithCode(1), "integer");
+}
+
+TEST(Parallel, VisitsEveryIndexExactlyOnce)
+{
+    const std::size_t hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    // n = 0, n = 1, fewer items than workers (when the host has at
+    // least three threads), and far more items than workers.
+    std::vector<std::size_t> sizes = {0, 1, 64 * hw + 3};
+    if (hw >= 3)
+        sizes.push_back(hw - 1);
+    for (const std::size_t n : sizes) {
+        SCOPED_TRACE("n = " + std::to_string(n));
+        std::vector<std::atomic<int>> visits(n);
+        std::mutex mu;
+        std::set<std::thread::id> threads;
+        parallelFor(n, [&](std::size_t i) {
+            visits[i].fetch_add(1);
+            const std::lock_guard<std::mutex> lock(mu);
+            threads.insert(std::this_thread::get_id());
+        });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+        EXPECT_LE(threads.size(), std::max<std::size_t>(
+                                      1, std::min(hw, n)));
+    }
+}
+
+TEST(Parallel, StartsNoThreadForAtMostOneItem)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    for (const std::size_t n : {0, 1}) {
+        std::size_t calls = 0;
+        parallelFor(n, [&](std::size_t) {
+            ++calls;
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+        });
+        EXPECT_EQ(calls, n);
+    }
+}
+
+TEST(Parallel, RethrowsAWorkerException)
+{
+    std::atomic<std::size_t> calls{0};
+    EXPECT_THROW(parallelFor(1000, [&](std::size_t i) {
+                     calls.fetch_add(1);
+                     if (i == 17)
+                         throw std::runtime_error("item 17");
+                 }),
+                 std::runtime_error);
+    // Indices are handed out in order and every handed-out index
+    // runs, so 0..17 all ran before the call returned.
+    EXPECT_GE(calls.load(), 18u);
 }
 
 } // namespace

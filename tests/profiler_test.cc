@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/profiler/profiler.hh"
@@ -115,6 +117,59 @@ TEST(Profiler, SmallSampleYieldsPlacementQualityStatistics)
             EXPECT_NEAR(delivered, p, 0.10)
                 << "feature " << j << " fraction " << p;
         }
+    }
+}
+
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof(double));
+    return b;
+}
+
+TEST(Profiler, ParallelProfileMatchesSequentialLoop)
+{
+    // 10000 samples at batch 4096 is three batches per feature (the
+    // last one partial). Feature 2's hash size is past the default
+    // dense threshold (2^25), so it takes the sparse accumulator
+    // while the others take the dense one.
+    ModelSpec model = makeTinyModel(5, 3000, 41);
+    model.features[2].hashSize = (1ULL << 25) + 12345;
+    model.features[2].cardinality = 1ULL << 22;
+    const SyntheticDataset data(model, 907);
+    constexpr std::uint64_t kSamples = 10000;
+    constexpr std::uint32_t kBatch = 4096;
+
+    // The serial loop profileDataset ran before it was parallelized.
+    DataProfiler serial(model);
+    std::uint64_t remaining = kSamples;
+    for (std::uint64_t b = 1ULL << 40; remaining > 0; ++b) {
+        const auto n = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(kBatch, remaining));
+        for (std::uint32_t j = 0; j < model.numFeatures(); ++j)
+            serial.addFeatureBatch(j, data.featureBatch(j, n, b));
+        remaining -= n;
+    }
+    const auto want = serial.finalize();
+    const auto got = profileDataset(data, kSamples, kBatch);
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
+        SCOPED_TRACE("feature " + std::to_string(j));
+        EXPECT_EQ(got[j].samplesSeen, kSamples);
+        EXPECT_EQ(got[j].samplesSeen, want[j].samplesSeen);
+        EXPECT_EQ(got[j].lookups, want[j].lookups);
+        EXPECT_EQ(bits(got[j].coverage), bits(want[j].coverage));
+        EXPECT_EQ(bits(got[j].avgPool), bits(want[j].avgPool));
+        EXPECT_EQ(got[j].cdf.hashSize(), want[j].cdf.hashSize());
+        EXPECT_EQ(got[j].cdf.totalAccesses(),
+                  want[j].cdf.totalAccesses());
+        ASSERT_EQ(got[j].cdf.rankedRows(), want[j].cdf.rankedRows());
+        for (std::uint64_t r = 0; r < want[j].cdf.touchedRows(); ++r)
+            ASSERT_EQ(got[j].cdf.countAtRank(r),
+                      want[j].cdf.countAtRank(r))
+                << "rank " << r;
     }
 }
 
