@@ -1,12 +1,15 @@
 /**
  * @file
- * Oracles for the virtual-time serving kernel (routing/des.hh) that
- * Router and LiveReplanServer both run on.
+ * Oracles for the virtual-time serving loops: the serving kernel
+ * (routing/des.hh) that Router and LiveReplanServer both run on,
+ * and phase 4's batched serveTraffic loop (serving/serving.hh).
  *
  *   - golden: a hedged, overloaded RoutingReport (tied and racing
- *     copies) and a ReplanReport through a completed migration are
- *     pinned field for field, doubles as hex floats. The values are
- *     a recorded oracle: a refactor of the serving loops must
+ *     copies), a ReplanReport through a completed migration, and
+ *     phase-4 ServingReports (a plan comparison, an admission-policy
+ *     comparison and a three-tier near-data SSD node) are pinned
+ *     field for field, doubles as hex floats. The values are a
+ *     recorded oracle: a refactor of the serving loops must
  *     reproduce them bit for bit, and they are never regenerated to
  *     make a change pass;
  *   - differential: a LiveReplanServer with replanning disarmed is
@@ -20,11 +23,18 @@
 #include <string>
 #include <vector>
 
+#include "recshard/base/units.hh"
 #include "recshard/datagen/model_zoo.hh"
+#include "recshard/engine/execution.hh"
+#include "recshard/planner/registry.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/replan/live.hh"
 #include "recshard/routing/router.hh"
 #include "recshard/serving/cache_admission.hh"
+#include "recshard/serving/serving.hh"
+#include "recshard/sharding/baselines.hh"
+#include "recshard/sharding/recshard_solver.hh"
+#include "recshard/tiering/topology.hh"
 
 namespace {
 
@@ -42,6 +52,17 @@ skewedModel(std::uint32_t features, std::uint64_t rows,
         f.cardinality = f.hashSize;
         f.alpha = 1.2;
     }
+    return model;
+}
+
+/** A tiny model with every row `dim` wide. */
+ModelSpec
+wideModel(std::uint32_t features, std::uint64_t rows,
+          std::uint64_t seed, std::uint32_t dim)
+{
+    ModelSpec model = makeTinyModel(features, rows, seed);
+    for (auto &f : model.features)
+        f.dim = dim;
     return model;
 }
 
@@ -197,6 +218,42 @@ fingerprint(const ReplanReport &r)
             .add((p + "p99").c_str(), e.p99)
             .add((p + "migrationActive").c_str(), e.migrationActive);
     }
+    return f.text;
+}
+
+std::string
+fingerprint(const ServingReport &r)
+{
+    Fingerprint f;
+    f.add("strategy", r.strategy)
+        .add("queries", r.queries)
+        .add("batches", r.batches)
+        .add("durationSeconds", r.durationSeconds)
+        .add("qps", r.qps)
+        .add("servedQueries", r.servedQueries)
+        .add("shedQueries", r.shedQueries)
+        .add("shedRate", r.shedRate)
+        .add("goodQueries", r.goodQueries)
+        .add("goodput", r.goodput)
+        .add("offeredCandidates", r.offeredCandidates)
+        .add("servedCandidates", r.servedCandidates)
+        .add("candidateFraction", r.candidateFraction)
+        .add("meanLatency", r.meanLatency)
+        .add("p50Latency", r.p50Latency)
+        .add("p95Latency", r.p95Latency)
+        .add("p99Latency", r.p99Latency)
+        .add("maxLatency", r.maxLatency)
+        .add("meanQueueDepth", r.meanQueueDepth)
+        .add("maxQueueDepth", r.maxQueueDepth)
+        .add("meanBatchQueries", r.meanBatchQueries)
+        .add("hbmAccesses", r.hbmAccesses)
+        .add("uvmAccesses", r.uvmAccesses)
+        .add("cacheHits", r.cacheHits)
+        .add("cacheHitRate", r.cacheHitRate)
+        .add("uvmAccessFraction", r.uvmAccessFraction)
+        .add("slaSeconds", r.slaSeconds)
+        .add("slaViolationRate", r.slaViolationRate)
+        .add("serverUtilization", r.serverUtilization);
     return f.text;
 }
 
@@ -548,6 +605,294 @@ TEST(ServingKernelGolden, ReplanThroughMigration)
         LiveReplanServer(g.model, g.cluster, g.rc).serve(g.trace);
     ASSERT_GE(r.replansCompleted, 1u);
     EXPECT_EQ(fingerprint(r), kGoldenReplan);
+}
+
+// ------------------------------------------------- phase-4 golden
+
+/** Phase 4 on four GPUs whose HBM holds a fifth of the model:
+ *  batched queries queue behind every shard, and the plans and the
+ *  cache admission policy all move the tail. */
+struct GoldenPhase4
+{
+    ModelSpec model;
+    SyntheticDataset data;
+    SystemSpec system;
+    std::vector<EmbProfile> profiles;
+    ShardingPlan greedy;
+    ShardingPlan recshard;
+    ServingConfig cfg;
+
+    GoldenPhase4()
+        : model(wideModel(8, 6000, 29, 128)),
+          data(model, 29 * 2654435761ULL + 1),
+          system(SystemSpec::paper(4, 1.0))
+    {
+        system.hbm.capacityBytes =
+            model.totalBytes() / 5 / system.numGpus;
+        system.uvm.capacityBytes = model.totalBytes();
+        profiles = profileDataset(data, 12000, 4096);
+        greedy = greedyShard(BaselineCost::Size, model, profiles,
+                             system);
+        recshard = recShardPlan(model, profiles, system);
+
+        cfg.load.qps = 40000.0;
+        cfg.load.meanQuerySamples = 4.0;
+        cfg.load.seed = 29 ^ 0x60157ULL;
+        cfg.batching.maxBatchQueries = 16;
+        cfg.batching.maxBatchSamples = 64;
+        cfg.batching.maxWaitSeconds = 0.0005;
+        cfg.server.batchOverheadSeconds = 1.5e-4;
+        cfg.numQueries = 2000;
+        cfg.slaSeconds = 0.0005;
+    }
+
+    std::vector<TierResolver>
+    resolve(const ShardingPlan &plan) const
+    {
+        return ExecutionEngine::buildResolvers(model, plan,
+                                               profiles);
+    }
+};
+
+const GoldenPhase4 &
+goldenPhase4()
+{
+    static const GoldenPhase4 g;
+    return g;
+}
+
+// Recorded before phase 4 moved off its per-GPU server threads.
+// Never regenerate these to make a change pass.
+
+const char *const kGoldenPlanComparison = R"(strategy Size-Based
+queries 2000
+batches 132
+durationSeconds 0x1.aade87ed895c1p-5
+qps 0x1.2bdb8cdb3f5d9p+15
+servedQueries 2000
+shedQueries 0
+shedRate 0x0p+0
+goodQueries 1683
+goodput 0x1.f8a90e15db8a4p+14
+offeredCandidates 7997
+servedCandidates 7997
+candidateFraction 0x1p+0
+meanLatency 0x1.7444e0bdb643ep-12
+p50Latency 0x1.6b7f0225b6ccp-12
+p95Latency 0x1.2fe9d62e32db6p-11
+p99Latency 0x1.50041eb609f69p-11
+maxLatency 0x1.5d7d52719a1p-11
+meanQueueDepth 0x1.b40bb63e54248p+3
+maxQueueDepth 28
+meanBatchQueries 0x1.e4d9364d9364ep+3
+hbmAccesses 174245
+uvmAccesses 102016
+cacheHits 258028
+cacheHitRate 0x1.6eeda5a49e81ep-1
+uvmAccessFraction 0x1.870a6e30a8a28p-3
+slaSeconds 0x1.0624dd2f1a9fcp-11
+slaViolationRate 0x1.449ba5e353f7dp-3
+serverUtilization 0x1.99d891e558098p-2
+strategy RecShard
+queries 2000
+batches 132
+durationSeconds 0x1.aad37281baf94p-5
+qps 0x1.2be3563a1fea8p+15
+servedQueries 2000
+shedQueries 0
+shedRate 0x0p+0
+goodQueries 1729
+goodput 0x1.0340d218648d2p+15
+offeredCandidates 7997
+servedCandidates 7997
+candidateFraction 0x1p+0
+meanLatency 0x1.665dbd836c6d2p-12
+p50Latency 0x1.5db51be10f6cp-12
+p95Latency 0x1.2abc09ee81d2dp-11
+p99Latency 0x1.49f0325607d13p-11
+maxLatency 0x1.56141ba1cc3cp-11
+meanQueueDepth 0x1.a3cdba2c66c0cp+3
+maxQueueDepth 27
+meanBatchQueries 0x1.e4d9364d9364ep+3
+hbmAccesses 517777
+uvmAccesses 12929
+cacheHits 3583
+cacheHitRate 0x1.bc67319cc6732p-3
+uvmAccessFraction 0x1.8c77ecde6c573p-6
+slaSeconds 0x1.0624dd2f1a9fcp-11
+slaViolationRate 0x1.15810624dd2f2p-3
+serverUtilization 0x1.8885e2d4ccc1ep-2
+)";
+
+const char *const kGoldenAdmissionComparison = R"(strategy Size-Based/tinylfu
+queries 2000
+batches 132
+durationSeconds 0x1.aadc48e14db3fp-5
+qps 0x1.2bdd20cfbf059p+15
+servedQueries 2000
+shedQueries 0
+shedRate 0x0p+0
+goodQueries 1695
+goodput 0x1.fc44e46a5ea97p+14
+offeredCandidates 7997
+servedCandidates 7997
+candidateFraction 0x1p+0
+meanLatency 0x1.71267b90b3b88p-12
+p50Latency 0x1.6840b356187p-12
+p95Latency 0x1.2e643c9e627e7p-11
+p99Latency 0x1.4e47e542d586dp-11
+maxLatency 0x1.5c3dd9deae7p-11
+meanQueueDepth 0x1.b066cfdb0ed76p+3
+maxQueueDepth 28
+meanBatchQueries 0x1.e4d9364d9364ep+3
+hbmAccesses 174245
+uvmAccesses 83453
+cacheHits 276591
+cacheHitRate 0x1.89536734286bap-1
+uvmAccessFraction 0x1.3fe2e61c0e3efp-3
+slaSeconds 0x1.0624dd2f1a9fcp-11
+slaViolationRate 0x1.3851eb851eb85p-3
+serverUtilization 0x1.963c882181431p-2
+strategy Size-Based/cdf-gated
+queries 2000
+batches 132
+durationSeconds 0x1.aadd1ddc5a51p-5
+qps 0x1.2bdc8b325335cp+15
+servedQueries 2000
+shedQueries 0
+shedRate 0x0p+0
+goodQueries 1689
+goodput 0x1.fa77507aa188ap+14
+offeredCandidates 7997
+servedCandidates 7997
+candidateFraction 0x1p+0
+meanLatency 0x1.733a86a9b1f91p-12
+p50Latency 0x1.6a3517b63d3p-12
+p95Latency 0x1.2f52bbaf03435p-11
+p99Latency 0x1.4f74e3f5e0532p-11
+maxLatency 0x1.5cd84314a053p-11
+meanQueueDepth 0x1.b2d52b6dade94p+3
+maxQueueDepth 28
+meanBatchQueries 0x1.e4d9364d9364ep+3
+hbmAccesses 174245
+uvmAccesses 95008
+cacheHits 265036
+cacheHitRate 0x1.78e4dec2d389dp-1
+uvmAccessFraction 0x1.6c2d9bc7a7a67p-3
+slaSeconds 0x1.0624dd2f1a9fcp-11
+slaViolationRate 0x1.3e76c8b439581p-3
+serverUtilization 0x1.987c44c3b6b84p-2
+)";
+
+const char *const kGoldenNearDataSsd = R"(strategy RecShard
+queries 2000
+batches 287
+durationSeconds 0x1.5adb4634a670cp-1
+qps 0x1.71075579532dep+11
+servedQueries 2000
+shedQueries 0
+shedRate 0x0p+0
+goodQueries 2000
+goodput 0x1.71075579532dep+11
+offeredCandidates 8040
+servedCandidates 8040
+candidateFraction 0x1p+0
+meanLatency 0x1.4ba0f2e3796d8p-10
+p50Latency 0x1.4ebe68d89adp-10
+p95Latency 0x1.18d4d86918b9ap-9
+p99Latency 0x1.1acfd70bd52edp-9
+maxLatency 0x1.1c6389af6dc4p-9
+meanQueueDepth 0x1.de0c7e3a21b6cp+1
+maxQueueDepth 14
+meanBatchQueries 0x1.bdfe374d9a504p+2
+hbmAccesses 802687
+uvmAccesses 151000
+cacheHits 0
+cacheHitRate 0x0p+0
+uvmAccessFraction 0x1.4444061bc2762p-3
+slaSeconds 0x1.47ae147ae147bp-7
+slaViolationRate 0x0p+0
+serverUtilization 0x1.4e396fc2af523p-5
+)";
+
+TEST(ServingLoopGolden, PlanComparisonWithLruCache)
+{
+    const GoldenPhase4 &g = goldenPhase4();
+    ServingConfig cfg = g.cfg;
+    cfg.server.cacheRows = 400;
+    cfg.server.admission.policy = "always";
+    const std::vector<ServingReport> reports =
+        serveTrafficComparison(g.data, {&g.greedy, &g.recshard},
+                               {g.resolve(g.greedy),
+                                g.resolve(g.recshard)},
+                               g.system, cfg);
+    ASSERT_EQ(reports.size(), 2u);
+    ASSERT_GT(reports[0].cacheHits, 0u);
+    ASSERT_GT(reports[0].meanBatchQueries, 1.0);
+    EXPECT_EQ(fingerprint(reports[0]) + fingerprint(reports[1]),
+              kGoldenPlanComparison);
+}
+
+TEST(ServingLoopGolden, AdmissionPolicyComparison)
+{
+    const GoldenPhase4 &g = goldenPhase4();
+    ShardServerConfig tinylfu = g.cfg.server;
+    tinylfu.cacheRows = 400;
+    tinylfu.admission.policy = "tinylfu";
+    ShardServerConfig gated = tinylfu;
+    gated.admission.policy = "cdf-gated";
+    gated.admission.cdfs = collectCdfs(g.profiles);
+    const std::vector<ServingReport> reports =
+        serveServerComparison(g.data, g.greedy, g.resolve(g.greedy),
+                              g.system, g.cfg, {tinylfu, gated});
+    ASSERT_EQ(reports.size(), 2u);
+    ASSERT_GT(reports[0].cacheHits, 0u);
+    ASSERT_GT(reports[1].cacheHits, 0u);
+    EXPECT_EQ(fingerprint(reports[0]) + fingerprint(reports[1]),
+              kGoldenAdmissionComparison);
+}
+
+/** The bench_tiering_capacity shape, reduced: a registry plan
+ *  solved for an HBM/DRAM/SSD node whose HBM+DRAM holds a quarter
+ *  of the model, served on the near-data SSD variant. */
+TEST(ServingLoopGolden, ThreeTierNearDataSsd)
+{
+    const std::uint64_t seed = 11;
+    const ModelSpec model = wideModel(6, 5000, seed, 128);
+    const SyntheticDataset data(model, seed * 2654435761ULL + 1);
+
+    const std::uint32_t gpus = 2;
+    const double total = static_cast<double>(model.totalBytes());
+    const auto hbm_pg =
+        static_cast<std::uint64_t>(total / 64.0 / gpus);
+    const auto hot_pg = static_cast<std::uint64_t>(total / 4.0 / gpus);
+    const auto ssd_pg = static_cast<std::uint64_t>(total / gpus) +
+        GB / 1000;
+    const SystemSpec ssd_node =
+        threeTierNode(gpus, hbm_pg, hot_pg - hbm_pg, ssd_pg, false);
+    const SystemSpec nd_node =
+        threeTierNode(gpus, hbm_pg, hot_pg - hbm_pg, ssd_pg, true);
+
+    const std::vector<EmbProfile> profiles =
+        profileDataset(data, 15000);
+    const PlanResult solved =
+        PlannerRegistry::create("recshard")
+            ->plan(PlanRequest::make(model, profiles, ssd_node,
+                                     16384));
+    ASSERT_TRUE(solved.diag.feasible);
+
+    ServingConfig cfg;
+    cfg.load.qps = 3000.0;
+    cfg.load.meanQuerySamples = 4.0;
+    cfg.load.seed = seed ^ 0x71e5ULL;
+    cfg.numQueries = 2000;
+    cfg.slaSeconds = 0.010;
+    const ServingReport r = serveTraffic(
+        data, solved.plan,
+        ExecutionEngine::buildResolvers(model, solved.plan, profiles),
+        nd_node, cfg);
+    ASSERT_GT(r.uvmAccesses, 0u);
+    EXPECT_EQ(fingerprint(r), kGoldenNearDataSsd);
 }
 
 // ---------------------------------------------------- differential
