@@ -17,7 +17,7 @@
  * Serving (phase 4, optional): beyond the paper's fixed-iteration
  * replay, the pipeline can evaluate the solved plan under *online*
  * request-driven load — Poisson or bursty arrivals, an admission
- * queue with dynamic batching, per-GPU server threads with an LRU
+ * queue with dynamic batching, per-GPU shard servers with an LRU
  * hot-row cache — and report throughput and p50/p95/p99 latency
  * against an SLA (see serving/serving.hh). Enable it with
  * PipelineOptions::evaluateServing; the report lands in

@@ -34,10 +34,18 @@ RoutedQuery::degradedPrefix(std::uint32_t kept,
         out[j] = sampleOffsets[j][kept];
 }
 
+namespace {
+
+/**
+ * The materialization loop both trace builders share: `num_queries`
+ * arrivals from one LoadGenerator, each query's lookups drawn from
+ * the dataset. `before_query(i)` runs before query i is drawn (the
+ * drifting trace sets the dataset's month there).
+ */
+template <class BeforeQuery>
 RoutedTrace
-materializeRoutedTrace(const SyntheticDataset &data,
-                       const LoadConfig &load,
-                       std::uint64_t num_queries)
+materialize(const SyntheticDataset &data, const LoadConfig &load,
+            std::uint64_t num_queries, BeforeQuery before_query)
 {
     fatal_if(num_queries == 0, "need at least one query to route");
     LoadGenerator generator(load);
@@ -46,6 +54,7 @@ materializeRoutedTrace(const SyntheticDataset &data,
     RoutedTrace trace;
     trace.queries.resize(num_queries);
     for (std::uint64_t i = 0; i < num_queries; ++i) {
+        before_query(i);
         RoutedQuery &rq = trace.queries[i];
         rq.query = generator.next();
         rq.query.id = i; // dense ids in arrival order
@@ -62,38 +71,31 @@ materializeRoutedTrace(const SyntheticDataset &data,
     return trace;
 }
 
+} // namespace
+
+RoutedTrace
+materializeRoutedTrace(const SyntheticDataset &data,
+                       const LoadConfig &load,
+                       std::uint64_t num_queries)
+{
+    return materialize(data, load, num_queries, [](std::uint64_t) {});
+}
+
 RoutedTrace
 materializeDriftingRoutedTrace(SyntheticDataset &data,
                                const LoadConfig &load,
                                std::uint64_t num_queries,
                                const DriftTraceSchedule &schedule)
 {
-    fatal_if(num_queries == 0, "need at least one query to route");
     fatal_if(schedule.months == 0,
              "a drifting trace must span >= 1 month");
     const std::uint32_t saved_month = data.month();
-    LoadGenerator generator(load);
-    const std::uint32_t J = data.spec().numFeatures();
-
-    RoutedTrace trace;
-    trace.queries.resize(num_queries);
-    for (std::uint64_t i = 0; i < num_queries; ++i) {
-        data.setMonth(schedule.startMonth +
-                      static_cast<std::uint32_t>(
-                          i * schedule.months / num_queries));
-        RoutedQuery &rq = trace.queries[i];
-        rq.query = generator.next();
-        rq.query.id = i; // dense ids in arrival order
-        rq.lookups.resize(J);
-        rq.sampleOffsets.resize(J);
-        for (std::uint32_t j = 0; j < J; ++j) {
-            FeatureBatch fb = data.featureBatch(
-                j, rq.query.samples, rq.query.batchIndex);
-            rq.totalLookups += fb.indices.size();
-            rq.lookups[j] = std::move(fb.indices);
-            rq.sampleOffsets[j] = std::move(fb.offsets);
-        }
-    }
+    RoutedTrace trace = materialize(
+        data, load, num_queries, [&](std::uint64_t i) {
+            data.setMonth(schedule.startMonth +
+                          static_cast<std::uint32_t>(
+                              i * schedule.months / num_queries));
+        });
     data.setMonth(saved_month);
     return trace;
 }

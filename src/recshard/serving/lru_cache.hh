@@ -8,8 +8,8 @@
  * small software cache in front of the slow tier (RecNMP and RecSSD
  * both report high hit rates from exactly this effect): a UVM-tier
  * lookup that hits the cache is served at HBM speed. Each GPU
- * server owns one cache instance, so no locking is needed — the
- * server thread is the only toucher.
+ * server owns one cache instance, so no locking is needed — only
+ * the thread driving that server touches it.
  *
  * What may *enter* the cache is delegated to a CacheAdmission
  * policy (cache_admission.hh): a plain LRU admits every miss, so

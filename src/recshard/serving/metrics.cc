@@ -74,21 +74,6 @@ ServingMetrics::recordTraffic(std::uint64_t hbm_, std::uint64_t uvm_,
 }
 
 void
-ServingMetrics::reset()
-{
-    arrivals.clear();
-    completions.clear();
-    shedArrivals.clear();
-    batchesV = 0;
-    batchedQueries = 0;
-    hbm = 0;
-    uvm = 0;
-    cacheHitsV = 0;
-    offeredCand = 0;
-    servedCand = 0;
-}
-
-void
 ServingMetrics::mergeFrom(const ServingMetrics &other)
 {
     arrivals.insert(arrivals.end(), other.arrivals.begin(),

@@ -131,14 +131,6 @@ class ServingMetrics
                        std::uint64_t cache_hits);
 
     /**
-     * Drop every accumulated sample and counter, returning the
-     * collector to its freshly constructed state. Epoch-windowed
-     * consumers reduce with report(), then reset(), so each window
-     * (e.g. one migration epoch) gets independent percentiles.
-     */
-    void reset();
-
-    /**
      * Fold another collector's samples and counters into this one.
      * Order-insensitive for every report() output (percentiles
      * sort, counters sum), so per-thread shards can be merged in

@@ -126,9 +126,6 @@ class ServingNode
 
     std::uint32_t id() const { return idV; }
     const ShardingPlan &plan() const { return planV; }
-    const ShardServerPool &pool() const { return poolV; }
-    /** Accumulated service seconds across the node's GPUs. */
-    double busySeconds() const { return poolV.busySeconds(); }
     /** Queries dispatched (started) on this node. */
     std::uint64_t dispatched() const { return dispatchedV; }
 

@@ -13,19 +13,17 @@
  * and heavy load converges to full batches.
  *
  * Batching decisions are made in virtual (simulated) time from the
- * arrival stamps, which keeps plan evaluation deterministic; the
- * WorkQueue below is the real concurrent hand-off that feeds sealed
- * batches to the per-GPU server threads.
+ * arrival stamps, which keeps plan evaluation deterministic; phase 4
+ * then executes the sealed batches in dispatch order on the
+ * caller's thread (serving.hh).
  */
 
 #ifndef RECSHARD_SERVING_SCHEDULER_HH
 #define RECSHARD_SERVING_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "recshard/base/sync.hh"
 #include "recshard/serving/load_generator.hh"
 
 namespace recshard {
@@ -90,59 +88,6 @@ class BatchScheduler
     std::uint32_t openSamples = 0;
     std::uint64_t nextBatchId = 0;
     double lastArrival = 0.0;
-};
-
-/**
- * Bounded-free concurrent FIFO between the dispatcher and one
- * server thread. pop() blocks until an item arrives or the queue is
- * closed and drained. Locking discipline is compiler-checked: the
- * queue state is GUARDED_BY(mu) and the CI clang build rejects any
- * access outside a critical section (-Wthread-safety -Werror).
- */
-template <typename T>
-class WorkQueue
-{
-  public:
-    void
-    push(T item) EXCLUDES(mu)
-    {
-        {
-            MutexLock lock(mu);
-            items.push_back(std::move(item));
-        }
-        cv.notifyOne();
-    }
-
-    /** No further pushes; wakes all blocked consumers. */
-    void
-    close() EXCLUDES(mu)
-    {
-        {
-            MutexLock lock(mu);
-            closed = true;
-        }
-        cv.notifyAll();
-    }
-
-    /** @return false once closed and drained. */
-    bool
-    pop(T &out) EXCLUDES(mu)
-    {
-        MutexLock lock(mu);
-        while (!closed && items.empty())
-            cv.wait(mu);
-        if (items.empty())
-            return false;
-        out = std::move(items.front());
-        items.pop_front();
-        return true;
-    }
-
-  private:
-    mutable Mutex mu;
-    CondVar cv;
-    std::deque<T> items GUARDED_BY(mu);
-    bool closed GUARDED_BY(mu) = false;
 };
 
 } // namespace recshard

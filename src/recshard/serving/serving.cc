@@ -6,6 +6,25 @@
 
 namespace recshard {
 
+namespace {
+
+/**
+ * A fully materialized traffic trace: sealed micro-batches plus
+ * every embedding lookup they trigger. Lookups are plan-independent
+ * (they depend only on the data stream and the queries), so one
+ * trace is generated once and shared across every plan evaluated
+ * against it — the dominant Zipf-sampling cost is paid once, not
+ * once per plan. Memory is linear in total lookups (~8 bytes each).
+ */
+struct ServingTrace
+{
+    std::vector<MicroBatch> batches;
+    /** lookups[b][j]: row ids feature j reads for batch b, in
+     *  query-major order. */
+    std::vector<std::vector<std::vector<std::uint64_t>>> lookups;
+};
+
+/** Generate and batch one trace under the config's load policy. */
 ServingTrace
 generateTrace(const SyntheticDataset &data,
               const ServingConfig &config)
@@ -40,8 +59,6 @@ generateTrace(const SyntheticDataset &data,
     return trace;
 }
 
-namespace {
-
 /** Run one plan over a materialized trace; reduce to a report. */
 ServingReport
 serveTrace(const SyntheticDataset &data, const ShardingPlan &plan,
@@ -52,13 +69,11 @@ serveTrace(const SyntheticDataset &data, const ShardingPlan &plan,
 {
     ShardServerPool pool(data.spec(), plan, resolvers, system,
                          config.server);
-    const std::vector<BatchCompletion> completions =
-        pool.run(trace);
-
     ServingMetrics metrics;
     for (std::size_t b = 0; b < trace.batches.size(); ++b) {
         const MicroBatch &batch = trace.batches[b];
-        const BatchCompletion &done = completions[b];
+        const BatchCompletion done =
+            pool.executeOne(batch, trace.lookups[b]);
         metrics.recordBatch(batch.queries.size());
         metrics.recordTraffic(done.hbmAccesses, done.uvmAccesses,
                               done.cacheHits);
@@ -66,12 +81,8 @@ serveTrace(const SyntheticDataset &data, const ShardingPlan &plan,
             metrics.recordQuery(q.arrival, done.finishTime,
                                 q.samples);
     }
-
-    double busy = 0.0;
-    for (const ShardServer &server : pool.servers())
-        busy += server.busySeconds();
     return metrics.report(strategy_name, config.slaSeconds,
-                          system.numGpus, busy);
+                          system.numGpus, pool.busySeconds());
 }
 
 /** Fail fast on a bad admission-policy name. */

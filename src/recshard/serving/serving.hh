@@ -6,9 +6,11 @@
  * Ties the serving subsystem together: a LoadGenerator synthesizes
  * a query-arrival trace, the BatchScheduler coalesces it into
  * micro-batches, a ShardServerPool executes the batches against a
- * sharding plan (per-GPU threads, tier resolution, LRU hot-row
- * cache, cost-model service times), and ServingMetrics reduces the
- * results to throughput and tail-latency numbers.
+ * sharding plan (tier resolution, LRU hot-row cache, cost-model
+ * service times), and ServingMetrics reduces the results to
+ * throughput and tail-latency numbers. The whole evaluation is one
+ * loop over the sealed batches on the caller's thread; every
+ * latency is virtual time.
  *
  * serveTrafficComparison() evaluates several plans against the
  * *identical* generated trace, so differences are attributable to
@@ -43,10 +45,6 @@ struct ServingConfig
     /** Latency SLA violations are scored against. */
     double slaSeconds = 0.005;
 };
-
-/** Generate and batch one trace under the config's load policy. */
-ServingTrace generateTrace(const SyntheticDataset &data,
-                           const ServingConfig &config);
 
 /**
  * Serve a generated traffic trace through one plan.

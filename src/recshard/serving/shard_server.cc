@@ -1,7 +1,6 @@
 #include "recshard/serving/shard_server.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "recshard/base/logging.hh"
 
@@ -44,7 +43,6 @@ ShardServer::execute(
              "batch carries ", prefix->size(),
              " lookup limits for ", lookups.size(), " features");
     BatchExecution exec;
-    exec.batchId = batch.id;
     exec.readyTime = batch.closeTime;
 
     // Each lookup is charged to the tier its resolver places it in
@@ -125,7 +123,6 @@ ShardServerPool::executeOne(
     const std::vector<std::uint32_t> *prefix)
 {
     BatchCompletion c;
-    c.batchId = batch.id;
     for (ShardServer &server : fleet) {
         const BatchExecution e =
             server.execute(batch, lookups, prefix);
@@ -144,57 +141,6 @@ ShardServerPool::busySeconds() const
     for (const ShardServer &server : fleet)
         busy += server.busySeconds();
     return busy;
-}
-
-std::vector<BatchCompletion>
-ShardServerPool::run(const ServingTrace &trace)
-{
-    const std::vector<MicroBatch> &batches = trace.batches;
-    fatal_if(trace.lookups.size() != batches.size(),
-             "trace has ", trace.lookups.size(),
-             " lookup sets for ", batches.size(), " batches");
-    const std::size_t M = fleet.size();
-    // Per-GPU execution records, indexed [gpu][batch position].
-    std::vector<std::vector<BatchExecution>> execs(M);
-    std::vector<WorkQueue<std::size_t>> queues(M);
-
-    std::vector<std::thread> threads;
-    threads.reserve(M);
-    for (std::size_t m = 0; m < M; ++m) {
-        execs[m].reserve(batches.size());
-        threads.emplace_back([this, m, &execs, &queues, &trace] {
-            std::size_t b = 0;
-            while (queues[m].pop(b))
-                execs[m].push_back(fleet[m].execute(
-                    trace.batches[b], trace.lookups[b]));
-        });
-    }
-
-    // Dispatch every sealed batch to every shard (model-parallel
-    // inference touches all GPUs), then drain.
-    for (std::size_t b = 0; b < batches.size(); ++b)
-        for (auto &queue : queues)
-            queue.push(b);
-    for (auto &queue : queues)
-        queue.close();
-    for (auto &thread : threads)
-        thread.join();
-
-    std::vector<BatchCompletion> out(batches.size());
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-        BatchCompletion &c = out[b];
-        c.batchId = batches[b].id;
-        for (std::size_t m = 0; m < M; ++m) {
-            const BatchExecution &e = execs[m][b];
-            panic_if(e.batchId != c.batchId,
-                     "server ", m, " processed batches out of order");
-            c.finishTime = std::max(c.finishTime, e.finishTime);
-            c.hbmAccesses += e.hbmAccesses;
-            c.uvmAccesses += e.uvmAccesses;
-            c.cacheHits += e.cacheHits;
-        }
-    }
-    return out;
 }
 
 } // namespace recshard

@@ -1,18 +1,15 @@
 /**
  * @file
- * Per-GPU shard executors and the multi-threaded server pool.
+ * Per-GPU shard executors and the per-plan server pool.
  *
  * A ShardServer models one GPU serving its shard of the embedding
  * tables under a sharding plan: for each micro-batch it walks the
- * trace's materialized lookups, resolves every row to HBM or UVM
+ * batch's materialized lookups, resolves every row to HBM or UVM
  * with the plan's TierResolver, lets the LRU hot-row cache absorb
  * UVM hits, and prices the batch with the same EmbCostModel the
- * offline engine uses. Latency accounting runs in virtual time — a server
- * is a FIFO queue with deterministic service times, so results are
- * reproducible regardless of thread scheduling — while the
- * ShardServerPool runs the servers on real threads (one per GPU,
- * fed through WorkQueues) so wall-clock evaluation scales with
- * cores.
+ * offline engine uses. Latency accounting runs in virtual time: a
+ * server is a FIFO queue with deterministic service times, and the
+ * ShardServerPool executes every server on the caller's thread.
  *
  * A query completes when every GPU has finished its micro-batch
  * (the all-gather barrier of model-parallel inference), so query
@@ -38,22 +35,6 @@
 
 namespace recshard {
 
-/**
- * A fully materialized traffic trace: sealed micro-batches plus
- * every embedding lookup they trigger. Lookups are plan-independent
- * (they depend only on the data stream and the queries), so one
- * trace is generated once and shared across every plan evaluated
- * against it — the dominant Zipf-sampling cost is paid once, not
- * once per plan. Memory is linear in total lookups (~8 bytes each).
- */
-struct ServingTrace
-{
-    std::vector<MicroBatch> batches;
-    /** lookups[b][j]: row ids feature j reads for batch b, in
-     *  query-major order. */
-    std::vector<std::vector<std::vector<std::uint64_t>>> lookups;
-};
-
 /** Per-server knobs. */
 struct ShardServerConfig
 {
@@ -69,7 +50,6 @@ struct ShardServerConfig
 /** One micro-batch's execution record on one GPU. */
 struct BatchExecution
 {
-    std::uint64_t batchId = 0;
     double readyTime = 0.0;   //!< batch seal (dispatch) time
     double startTime = 0.0;   //!< max(readyTime, server free time)
     double finishTime = 0.0;  //!< startTime + serviceSeconds
@@ -115,11 +95,8 @@ class ShardServer
             const std::vector<std::uint32_t> *prefix = nullptr);
 
     std::uint32_t gpu() const { return gpuV; }
-    /** Tables this shard owns. */
-    std::size_t numTables() const { return features.size(); }
     /** Accumulated busy (service) seconds. */
     double busySeconds() const { return busy; }
-    const LruRowCache &cache() const { return lru; }
 
     /**
      * Accumulated lookups resolved to each tier (cache hits count
@@ -157,7 +134,6 @@ class ShardServer
 /** All GPUs' execution records for one micro-batch. */
 struct BatchCompletion
 {
-    std::uint64_t batchId = 0;
     /** All-gather completion: slowest shard's finish time. */
     double finishTime = 0.0;
     /** Summed tier traffic across GPUs. */
@@ -166,7 +142,7 @@ struct BatchCompletion
     std::uint64_t cacheHits = 0;
 };
 
-/** Threaded fleet of per-GPU servers evaluating one plan. */
+/** Fleet of per-GPU servers evaluating one plan. */
 class ShardServerPool
 {
   public:
@@ -176,23 +152,13 @@ class ShardServerPool
                     ShardServerConfig config);
 
     /**
-     * Serve a materialized trace to completion: one thread per GPU,
-     * each draining its own admission WorkQueue in FIFO order.
-     * Deterministic for a fixed trace.
-     *
-     * @return Per-batch completions, in batch order.
-     */
-    std::vector<BatchCompletion> run(const ServingTrace &trace);
-
-    /**
      * Execute a single micro-batch across every GPU of the fleet,
-     * synchronously, on the caller's thread. This is the routing
-     * tier's entry point: the multi-node Router is a single-threaded
-     * virtual-time event loop that feeds each node one query at a
-     * time, so it needs per-batch execution without the trace-wide
-     * thread fan-out of run(). Virtual-clock accounting is identical
-     * to run()'s: each server starts at max(batch ready time, its
-     * own free time).
+     * synchronously, on the caller's thread. Each server starts at
+     * max(batch ready time, its own free time) on its own virtual
+     * clock, so a server runs ahead to the next batch while a
+     * slower shard is still busy. Phase 4 calls this once per
+     * sealed batch in dispatch order; the routing tier's event
+     * loop calls it once per dispatched query.
      *
      * @param batch   Sealed batch (timing metadata).
      * @param lookups Per-feature row ids the batch reads.

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <sstream>
 
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/profiler/profiler.hh"
@@ -393,6 +394,50 @@ TEST(Routing, AdmissionPolicyThreadsThroughTheRouter)
         Router(fx.model, fx.cluster, rc).route(fx.trace);
     EXPECT_EQ(gated.queries, fx.trace.queries.size());
     EXPECT_GT(gated.cacheHits, 0u);
+}
+
+// ------------------------------------------------------- traces
+
+/** Bytes of a trace in the Router's binary trace format. */
+std::string
+traceBytes(const RoutedTrace &trace)
+{
+    std::ostringstream out(std::ios::binary);
+    writeRoutedTrace(out, trace);
+    return out.str();
+}
+
+TEST(RoutedTrace, OneMonthDriftingTraceEqualsTheStaticTrace)
+{
+    ModelSpec model = makeTinyModel(4, 3000, 13);
+    for (auto &f : model.features)
+        f.cardinality = f.hashSize;
+    SyntheticDataset data(model, 13);
+    DriftModel churn;
+    churn.hotChurnPerMonth = 0.1;
+    data.setDrift(churn);
+    data.setMonth(3);
+    LoadConfig load;
+    load.meanQuerySamples = 4.0;
+    load.seed = 13;
+
+    const std::string fixed =
+        traceBytes(materializeRoutedTrace(data, load, 400));
+    DriftTraceSchedule schedule;
+    schedule.startMonth = data.month();
+    schedule.months = 1;
+    EXPECT_EQ(traceBytes(materializeDriftingRoutedTrace(
+                  data, load, 400, schedule)),
+              fixed);
+    EXPECT_EQ(data.month(), 3u);
+
+    // The month really moves the lookups, so the equality above
+    // is not vacuous; the dataset's month is restored either way.
+    schedule.startMonth = 0;
+    EXPECT_NE(traceBytes(materializeDriftingRoutedTrace(
+                  data, load, 400, schedule)),
+              fixed);
+    EXPECT_EQ(data.month(), 3u);
 }
 
 // ----------------------------------------- hedge latency window
