@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "recshard/base/logging.hh"
-#include "recshard/base/stats.hh"
 
 namespace recshard {
 
@@ -33,7 +32,25 @@ LatencyWindow::push(double latency)
 double
 LatencyWindow::quantile(double q) const
 {
-    return percentile(buf, q);
+    fatal_if(buf.empty(), "percentile of an empty sample");
+    fatal_if(q < 0.0 || q > 1.0, "quantile ", q, " outside [0,1]");
+    // sortedPercentile's interpolation, but each end is selected
+    // rather than sorted into place: the lo-th order statistic by
+    // nth_element, the (lo+1)-th as the minimum of what lies above
+    // it. They are the same elements a full sort puts there, so the
+    // result is bit-identical to percentile(buf, q). The copy is
+    // local, so concurrent const calls stay safe.
+    std::vector<double> xs(buf);
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const auto hi = std::min(lo + 1, xs.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    const auto loIt = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(xs.begin(), loIt, xs.end());
+    const double loV = *loIt;
+    const double hiV =
+        hi == lo ? loV : *std::min_element(loIt + 1, xs.end());
+    return loV + frac * (hiV - loV);
 }
 
 ServingKernel::ServingKernel(

@@ -54,7 +54,13 @@ class LatencyWindow
     /** Record one latency, displacing the oldest when full. */
     void push(double latency);
 
-    /** Quantile q in [0,1] over the current contents. */
+    /**
+     * Quantile q in [0,1] over the current contents, interpolated
+     * exactly as percentile() (base/stats.hh) and bit-identical to
+     * it. Selects the two bracketing order statistics on a local
+     * copy instead of sorting it, so a hedge refresh costs O(n)
+     * and concurrent const calls stay safe.
+     */
     double quantile(double q) const;
 
     /** Current contents (ring order, not age order). */

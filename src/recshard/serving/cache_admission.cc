@@ -1,7 +1,6 @@
 #include "recshard/serving/cache_admission.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "recshard/base/logging.hh"
 #include "recshard/hashing/hashers.hh"
@@ -159,7 +158,9 @@ class TinyLfuAdmission final : public CacheAdmission
 
 /**
  * CDF-gated: admit only rows the offline profile ranks inside the
- * hottest rowsForFraction(hotQuantile) of their table.
+ * hottest rowsForFraction(hotQuantile) of their table. The hot set
+ * is one bit per row of the table (the TierResolver::hot form), so
+ * admit is a bounds-checked bit test.
  */
 class CdfGatedAdmission final : public CacheAdmission
 {
@@ -169,14 +170,14 @@ class CdfGatedAdmission final : public CacheAdmission
     {
         hot.reserve(cdfs.size());
         for (const FrequencyCdf *cdf : cdfs) {
-            std::unordered_set<std::uint64_t> rows;
+            std::vector<bool> rows;
             if (cdf) {
+                rows.assign(cdf->hashSize(), false);
                 const std::uint64_t k =
                     cdf->rowsForFraction(quantile);
                 const auto &ranked = cdf->rankedRows();
-                rows.reserve(k);
                 for (std::uint64_t r = 0; r < k; ++r)
-                    rows.insert(ranked[r]);
+                    rows[ranked[r]] = true;
             }
             hot.push_back(std::move(rows));
         }
@@ -189,13 +190,16 @@ class CdfGatedAdmission final : public CacheAdmission
         panic_if(table >= hot.size(), "cache key table ", table,
                  " has no profiled CDF (", hot.size(), " tables)");
         constexpr std::uint64_t kRowMask = (1ULL << 48) - 1;
-        return hot[table].count(key & kRowMask) != 0;
+        const std::vector<bool> &rows = hot[table];
+        const std::uint64_t row = key & kRowMask;
+        return row < rows.size() && rows[row];
     }
 
     const char *name() const override { return "cdf-gated"; }
 
   private:
-    std::vector<std::unordered_set<std::uint64_t>> hot;
+    /** Per table: bit r set iff row r is hot; empty if no CDF. */
+    std::vector<std::vector<bool>> hot;
 };
 
 } // namespace

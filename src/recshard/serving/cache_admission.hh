@@ -22,15 +22,19 @@
  *                  cold. A row is admitted only if its CDF rank falls
  *                  inside the hottest rowsForFraction(hotQuantile)
  *                  rows of its table. Zero online metadata besides a
- *                  per-table hot set; no warm-up period.
+ *                  per-table bitset (1 bit per row) over the
+ *                  server's own tables; no warm-up period.
  *
  * Policies are selected by name through CacheAdmissionConfig (see
  * ShardServerConfig::admission), the same way planners are selected
  * through the PlannerRegistry — so admission policies are comparable
  * across serving, routing, pipeline, and bench layers.
  *
- * Each ShardServer owns one policy instance next to its LruRowCache;
- * both are touched only by that server's thread, so no locking.
+ * Each ShardServer owns one policy instance next to its LruRowCache
+ * and hands it only the CDFs of its own tables (the rest are null),
+ * so a node holds one cdf-gated bit per model row in total. Both
+ * are touched only by the thread driving that server, so no
+ * locking.
  */
 
 #ifndef RECSHARD_SERVING_CACHE_ADMISSION_HH
@@ -80,7 +84,9 @@ struct CacheAdmissionConfig
     double hotQuantile = 0.95;
     /**
      * Per-EMB profiled CDFs, indexed by feature id ("cdf-gated"
-     * only; borrowed, must outlive the server). The pipeline and
+     * only; borrowed, must outlive the server). A null entry, and
+     * any row at or beyond its CDF's hashSize(), admits nothing.
+     * ShardServer nulls the tables of other GPUs. The pipeline and
      * the report harness fill this automatically from their own
      * profiles; standalone callers use collectCdfs().
      */

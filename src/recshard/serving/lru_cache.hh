@@ -8,8 +8,16 @@
  * small software cache in front of the slow tier (RecNMP and RecSSD
  * both report high hit rates from exactly this effect): a UVM-tier
  * lookup that hits the cache is served at HBM speed. Each GPU
- * server owns one cache instance, so no locking is needed — only
- * the thread driving that server touches it.
+ * server owns one cache instance, and phase 4 and the routing
+ * event loop run every server on the caller's thread, so no
+ * locking is needed.
+ *
+ * The cache is array-backed: the recency list is a doubly linked
+ * list of 32-bit indices over a fixed array of entries, and the key
+ * index is an open-addressed power-of-two slot table (linear
+ * probing, backward-shift deletion) over the same entries. All of
+ * it is allocated once, in the constructor, so a touch never
+ * allocates and never chases a heap node.
  *
  * What may *enter* the cache is delegated to a CacheAdmission
  * policy (cache_admission.hh): a plain LRU admits every miss, so
@@ -22,8 +30,7 @@
 #define RECSHARD_SERVING_LRU_CACHE_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "recshard/base/logging.hh"
 
@@ -31,12 +38,16 @@ namespace recshard {
 
 class CacheAdmission;
 
-/** Fixed-capacity LRU set of (table, row) keys. */
+/**
+ * Fixed-capacity LRU set of (table, row) keys, stored in flat
+ * arrays sized once at construction (no per-insert allocation).
+ */
 class LruRowCache
 {
   public:
     /**
      * @param capacity_rows Rows the cache can hold; 0 disables.
+     *                      Must fit a 32-bit entry index.
      * @param admission     Optional admission gate consulted on
      *                      every miss (borrowed; must outlive the
      *                      cache). Null admits everything.
@@ -69,7 +80,7 @@ class LruRowCache
 
     bool enabled() const { return capacityV > 0; }
     std::uint64_t capacity() const { return capacityV; }
-    std::uint64_t size() const { return map.size(); }
+    std::uint64_t size() const { return sizeV; }
     std::uint64_t hits() const { return hitsV; }
     std::uint64_t misses() const { return missesV; }
     /** Misses the admission policy refused to cache. */
@@ -79,11 +90,36 @@ class LruRowCache
     double hitRate() const;
 
   private:
+    /** Null link and empty slot. */
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+
+    /** Home slot of a key (Fibonacci hashing: top bits of the
+     *  golden-ratio product). */
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ULL) >> slotShift);
+    }
+
+    /** Slot holding `key`, or the empty slot that ends its probe. */
+    std::size_t findSlot(std::uint64_t key) const;
+    /** Empty a slot, shifting later probe-chain members back. */
+    void eraseSlot(std::size_t slot);
+    void unlink(std::uint32_t e);
+    void pushFront(std::uint32_t e);
+
     std::uint64_t capacityV;
     CacheAdmission *admission; //!< borrowed; may be null
-    std::list<std::uint64_t> order; //!< MRU at front
-    std::unordered_map<std::uint64_t,
-                       std::list<std::uint64_t>::iterator> map;
+    std::vector<std::uint64_t> keys; //!< entry -> key
+    std::vector<std::uint32_t> prev; //!< entry -> more recent entry
+    std::vector<std::uint32_t> next; //!< entry -> less recent entry
+    std::vector<std::uint32_t> slots; //!< key index: entry or kNil
+    std::size_t slotMask = 0;
+    unsigned slotShift = 0;
+    std::uint32_t head = kNil; //!< MRU entry
+    std::uint32_t tail = kNil; //!< LRU entry
+    std::uint64_t sizeV = 0;
     std::uint64_t hitsV = 0;
     std::uint64_t missesV = 0;
     std::uint64_t rejectedV = 0;

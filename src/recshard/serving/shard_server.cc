@@ -6,6 +6,29 @@
 
 namespace recshard {
 
+namespace {
+
+/**
+ * The server's admission policy, built over the CDFs of its own
+ * tables only: a server never looks up another GPU's rows, and a
+ * null CDF admits nothing, so nulling the rest changes no decision
+ * and keeps the cdf-gated bitsets at one copy per node.
+ */
+std::unique_ptr<CacheAdmission>
+makeLocalAdmission(std::uint32_t gpu, const ShardingPlan &plan,
+                   const ShardServerConfig &config)
+{
+    if (config.cacheRows == 0)
+        return nullptr;
+    CacheAdmissionConfig local = config.admission;
+    for (std::size_t j = 0; j < local.cdfs.size(); ++j)
+        if (j >= plan.tables.size() || plan.tables[j].gpu != gpu)
+            local.cdfs[j] = nullptr;
+    return makeCacheAdmission(local, config.cacheRows);
+}
+
+} // namespace
+
 ShardServer::ShardServer(std::uint32_t gpu, const ModelSpec &model_,
                          const ShardingPlan &plan,
                          const std::vector<TierResolver> &resolvers_,
@@ -13,10 +36,7 @@ ShardServer::ShardServer(std::uint32_t gpu, const ModelSpec &model_,
                          ShardServerConfig config)
     : gpuV(gpu), model(model_), resolvers(resolvers_),
       cost(cost_), cfg(config),
-      admission(config.cacheRows
-                    ? makeCacheAdmission(config.admission,
-                                         config.cacheRows)
-                    : nullptr),
+      admission(makeLocalAdmission(gpu, plan, config)),
       lru(config.cacheRows, admission.get()),
       tierTotals(cost_.numTiers(), 0),
       tierCounts(cost_.numTiers(), 0),

@@ -235,6 +235,50 @@ TEST(CdfGated, GatesPerTable)
     EXPECT_TRUE(gate->admit(LruRowCache::rowKey(1, 1), false, 0));
 }
 
+TEST(CdfGated, RowsAtOrPastTheHashSizeAreDenied)
+{
+    // Row 99 is the table's last row and profiled as the hottest;
+    // rows 100 and beyond lie outside the bitset and must be
+    // denied by the bounds check, not read out of bounds.
+    const FrequencyCdf cdf(100, {{99, 10}, {3, 2}});
+    const auto gate = makeCdfGated(cdf, 1.0);
+    EXPECT_TRUE(gate->admit(LruRowCache::rowKey(0, 99), false, 0));
+    EXPECT_TRUE(gate->admit(LruRowCache::rowKey(0, 3), false, 0));
+    for (const std::uint64_t row :
+         {100ULL, 101ULL, 4096ULL, (1ULL << 48) - 1})
+        EXPECT_FALSE(gate->admit(LruRowCache::rowKey(0, row), false,
+                                 0))
+            << "row " << row;
+}
+
+TEST(CdfGated, NullCdfDeniesEveryRow)
+{
+    // ShardServer nulls the CDFs of other GPUs' tables.
+    const FrequencyCdf cdf = skewedCdf();
+    CacheAdmissionConfig cfg;
+    cfg.policy = "cdf-gated";
+    cfg.cdfs = {nullptr, &cdf};
+    cfg.hotQuantile = 1.0;
+    const auto gate = makeCacheAdmission(cfg, 16);
+    for (const std::uint64_t row : {0, 2, 5, 9, 77, 99, 100})
+        EXPECT_FALSE(gate->admit(LruRowCache::rowKey(0, row), true,
+                                 LruRowCache::rowKey(1, 5)))
+            << "row " << row;
+    EXPECT_TRUE(gate->admit(LruRowCache::rowKey(1, 5), false, 0));
+}
+
+TEST(CdfGated, EmptyCdfDeniesEveryRow)
+{
+    const FrequencyCdf empty;
+    for (const double q : {0.0, 0.5, 1.0}) {
+        const auto gate = makeCdfGated(empty, q);
+        for (const std::uint64_t row : {0, 1, 1000})
+            EXPECT_FALSE(gate->admit(LruRowCache::rowKey(0, row),
+                                     false, 0))
+                << "quantile " << q << " row " << row;
+    }
+}
+
 // ------------------------------------- admission-aware LRU cache
 
 TEST(LruRowCache, RowKeyBoundsAreEnforced)

@@ -231,14 +231,36 @@ TEST(OverloadSoak, LatencyWindowQuantilesExactAcrossManyWraps)
             const std::vector<double> ref(reference.begin(),
                                           reference.end());
             for (const double q : {0.0, 0.5, 0.95, 1.0}) {
-                ASSERT_DOUBLE_EQ(window.quantile(q),
-                                 percentile(ref, q))
+                // Exact: selection picks the same order statistics
+                // a full sort does, so the bits must match.
+                ASSERT_EQ(window.quantile(q), percentile(ref, q))
                     << "push " << i << " quantile " << q;
             }
         }
     }
     EXPECT_EQ(window.pushed(), kSoakQueries);
     EXPECT_EQ(window.samples().size(), kCapacity);
+
+    // Tiny and odd-sized windows full of ties: the bracketing order
+    // statistics are often equal values at different positions.
+    Rng dup(0xD0B1EULL);
+    for (const std::uint64_t cap : {1, 2, 513}) {
+        LatencyWindow small(cap);
+        std::deque<double> ref;
+        for (std::uint64_t i = 0; i < 4 * cap + 3; ++i) {
+            const double sample =
+                0.001 * static_cast<double>(dup.uniformInt(1, 4));
+            small.push(sample);
+            ref.push_back(sample);
+            if (ref.size() > cap)
+                ref.pop_front();
+            const std::vector<double> xs(ref.begin(), ref.end());
+            for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0})
+                ASSERT_EQ(small.quantile(q), percentile(xs, q))
+                    << "capacity " << cap << " push " << i
+                    << " quantile " << q;
+        }
+    }
 }
 
 TEST(OverloadSoak, TinyLfuAgingStaysBoundedAcrossManyEpochs)

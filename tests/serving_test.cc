@@ -10,11 +10,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <list>
+#include <memory>
 #include <thread>
+#include <unordered_map>
 
+#include "recshard/base/random.hh"
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/engine/execution.hh"
 #include "recshard/profiler/profiler.hh"
+#include "recshard/serving/cache_admission.hh"
 #include "recshard/serving/serving.hh"
 #include "recshard/sharding/baselines.hh"
 #include "recshard/sharding/recshard_solver.hh"
@@ -184,9 +189,8 @@ TEST(LruRowCache, HitsMissesAndEviction)
     EXPECT_FALSE(cache.touch(2)); // miss, insert
     EXPECT_TRUE(cache.touch(1));  // hit, 1 becomes MRU
     EXPECT_FALSE(cache.touch(3)); // miss, evicts 2
-    EXPECT_FALSE(cache.touch(2)); // miss (evicted), evicts 1? no: 1
-                                  // was MRU, 3 older -> evicts 3? no:
-                                  // order is 3,1 -> evicts 1
+    EXPECT_FALSE(cache.touch(2)); // miss (evicted); MRU->LRU order
+                                  // is [3,1], so it evicts 1
     EXPECT_TRUE(cache.touch(2));
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.hits(), 2u);
@@ -201,6 +205,250 @@ TEST(LruRowCache, DisabledCacheNeverHits)
     for (int i = 0; i < 5; ++i)
         EXPECT_FALSE(cache.touch(7));
     EXPECT_EQ(cache.size(), 0u);
+}
+
+/**
+ * The node-based LRU the flat cache replaced (std::list in MRU
+ * order plus an unordered_map into it), kept as the differential
+ * reference: same admission calls, same victim, same counters.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint64_t capacity, CacheAdmission *admission)
+        : cap(capacity), gate(admission)
+    {
+    }
+
+    bool
+    touch(std::uint64_t key)
+    {
+        if (cap == 0)
+            return false;
+        if (gate)
+            gate->onAccess(key);
+        const auto it = map.find(key);
+        if (it != map.end()) {
+            order.splice(order.begin(), order, it->second);
+            ++hits;
+            return true;
+        }
+        ++misses;
+        const bool full = map.size() >= cap;
+        if (gate && !gate->admit(key, full, full ? order.back() : 0)) {
+            ++rejected;
+            return false;
+        }
+        if (full) {
+            map.erase(order.back());
+            order.pop_back();
+        }
+        order.push_front(key);
+        map[key] = order.begin();
+        return false;
+    }
+
+    std::uint64_t size() const { return map.size(); }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t rejected = 0;
+
+  private:
+    std::uint64_t cap;
+    CacheAdmission *gate;
+    std::list<std::uint64_t> order;
+    std::unordered_map<std::uint64_t,
+                       std::list<std::uint64_t>::iterator> map;
+};
+
+/** One admit() call as the cache made it. */
+struct AdmitCall
+{
+    std::uint64_t key;
+    bool full;
+    std::uint64_t victim;
+
+    bool
+    operator==(const AdmitCall &o) const
+    {
+        return key == o.key && full == o.full && victim == o.victim;
+    }
+};
+
+/** Forwards to a real policy and records every admit() call. */
+class SpyAdmission final : public CacheAdmission
+{
+  public:
+    explicit SpyAdmission(std::unique_ptr<CacheAdmission> inner_)
+        : inner(std::move(inner_))
+    {
+    }
+
+    void onAccess(std::uint64_t key) override { inner->onAccess(key); }
+
+    bool
+    admit(std::uint64_t key, bool full, std::uint64_t victim) override
+    {
+        calls.push_back({key, full, victim});
+        return inner->admit(key, full, victim);
+    }
+
+    const char *name() const override { return inner->name(); }
+
+    std::vector<AdmitCall> calls;
+
+  private:
+    std::unique_ptr<CacheAdmission> inner;
+};
+
+constexpr std::uint32_t kDiffTables = 4;
+constexpr std::uint64_t kDiffHashSize = 1000;
+
+/** Zipf-ish rows over a few tables, plus uniform cold rows, some
+ *  past the CDFs' hash size. */
+std::vector<std::uint64_t>
+zipfishKeys(std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> keys;
+    keys.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto table = static_cast<std::uint32_t>(
+            rng.uniformInt(0, kDiffTables - 1));
+        const double u = rng.nextDouble();
+        const std::uint64_t row = rng.bernoulli(0.1)
+            ? static_cast<std::uint64_t>(rng.uniformInt(0, 1200))
+            : static_cast<std::uint64_t>(u * u * u * u * 800.0);
+        keys.push_back(LruRowCache::rowKey(table, row));
+    }
+    return keys;
+}
+
+/**
+ * Keys whose home slots in a `capacity`-row cache's slot table are
+ * the last two slots or the first one, so probe chains grow long,
+ * wrap around the table end, and every eviction runs backward-shift
+ * deletion across them. Mirrors the cache's hash (Fibonacci hashing
+ * into a power-of-two table of at least 2x capacity); if that hash
+ * changes the stream is still a valid differential input, only a
+ * less adversarial one.
+ */
+std::vector<std::uint64_t>
+collidingKeys(std::uint64_t capacity, std::uint64_t seed,
+              std::size_t n)
+{
+    unsigned bits = 1;
+    while ((std::uint64_t{1} << bits) < 2 * capacity)
+        ++bits;
+    const std::uint64_t slots = std::uint64_t{1} << bits;
+    std::vector<std::uint64_t> pool;
+    for (std::uint64_t row = 0; pool.size() < 3 * capacity + 8;
+         ++row) {
+        const std::uint64_t key = LruRowCache::rowKey(
+            static_cast<std::uint32_t>(row % kDiffTables), row);
+        const std::uint64_t home =
+            (key * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+        if (home + 2 >= slots || home == 0)
+            pool.push_back(key);
+    }
+    Rng rng(seed);
+    std::vector<std::uint64_t> keys;
+    keys.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        // Skew toward the pool's front so some keys recur as hits.
+        const double u = rng.nextDouble();
+        keys.push_back(pool[static_cast<std::size_t>(
+            u * u * static_cast<double>(pool.size()))]);
+    }
+    return keys;
+}
+
+/** Zipf-skewed profiled CDFs for the differential tables. */
+std::vector<FrequencyCdf>
+diffCdfs()
+{
+    std::vector<FrequencyCdf> cdfs;
+    Rng rng(0xCDF0ULL);
+    for (std::uint32_t t = 0; t < kDiffTables; ++t) {
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
+        for (std::uint64_t row = 0; row < 600; ++row)
+            if (rng.bernoulli(0.8))
+                counts.emplace_back(
+                    row, 1 + 10000 / ((row + 1) * (t + 1)));
+        cdfs.emplace_back(kDiffHashSize, std::move(counts));
+    }
+    return cdfs;
+}
+
+TEST(LruRowCache, FlatCacheMatchesNodeBasedReference)
+{
+    const std::vector<FrequencyCdf> cdfs = diffCdfs();
+    std::vector<const FrequencyCdf *> cdfPtrs;
+    for (const FrequencyCdf &cdf : cdfs)
+        cdfPtrs.push_back(&cdf);
+
+    for (const std::uint64_t capacity : {1, 2, 3, 64, 500}) {
+        const std::vector<std::vector<std::uint64_t>> streams = {
+            zipfishKeys(capacity, 20000),
+            collidingKeys(capacity, capacity + 7, 20000)};
+        for (const char *policy :
+             {"", "always", "tinylfu", "cdf-gated"}) {
+            for (std::size_t st = 0; st < streams.size(); ++st) {
+                SCOPED_TRACE(::testing::Message()
+                             << "capacity " << capacity << " policy '"
+                             << policy << "' stream " << st);
+                std::unique_ptr<SpyAdmission> flatGate, refGate;
+                if (*policy) {
+                    CacheAdmissionConfig cfg;
+                    cfg.policy = policy;
+                    cfg.cdfs = cdfPtrs;
+                    cfg.hotQuantile = 0.8;
+                    flatGate = std::make_unique<SpyAdmission>(
+                        makeCacheAdmission(cfg, capacity));
+                    refGate = std::make_unique<SpyAdmission>(
+                        makeCacheAdmission(cfg, capacity));
+                }
+                LruRowCache flat(capacity, flatGate.get());
+                ReferenceLru ref(capacity, refGate.get());
+                std::uint64_t hits = 0;
+                for (std::size_t i = 0; i < streams[st].size(); ++i) {
+                    const std::uint64_t key = streams[st][i];
+                    const bool hit = ref.touch(key);
+                    hits += hit;
+                    ASSERT_EQ(flat.touch(key), hit) << "touch " << i;
+                    ASSERT_EQ(flat.size(), ref.size()) << "touch " << i;
+                    ASSERT_EQ(flat.hits(), ref.hits) << "touch " << i;
+                    ASSERT_EQ(flat.misses(), ref.misses)
+                        << "touch " << i;
+                    ASSERT_EQ(flat.rejected(), ref.rejected)
+                        << "touch " << i;
+                    if (flatGate) {
+                        ASSERT_EQ(flatGate->calls.size(),
+                                  refGate->calls.size())
+                            << "touch " << i;
+                        ASSERT_TRUE(flatGate->calls.empty() ||
+                                    flatGate->calls.back() ==
+                                        refGate->calls.back())
+                            << "touch " << i;
+                    }
+                }
+                // Not vacuous: the run hits and evicts. cdf-gated
+                // instead denies: its hot set is smaller than the
+                // largest cache, and the colliding rows lie mostly
+                // past the CDFs' hash size.
+                if (std::string(policy) == "cdf-gated") {
+                    EXPECT_GT(ref.rejected, 0u);
+                    if (st == 0) {
+                        EXPECT_GT(hits, 0u);
+                    }
+                } else {
+                    EXPECT_GT(hits, 0u);
+                    EXPECT_GT(ref.misses - ref.rejected, capacity);
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------- served/shed metrics split
