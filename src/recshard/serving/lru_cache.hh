@@ -8,9 +8,8 @@
  * small software cache in front of the slow tier (RecNMP and RecSSD
  * both report high hit rates from exactly this effect): a UVM-tier
  * lookup that hits the cache is served at HBM speed. Each GPU
- * server owns one cache instance, and phase 4 and the routing
- * event loop run every server on the caller's thread, so no
- * locking is needed.
+ * server owns one cache instance, so no locking is needed — only
+ * the thread driving that server touches it.
  *
  * The cache is array-backed: the recency list is a doubly linked
  * list of 32-bit indices over a fixed array of entries, and the key
