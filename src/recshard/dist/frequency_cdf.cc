@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "recshard/base/logging.hh"
 
@@ -25,20 +24,21 @@ FrequencyCdf::FrequencyCdf(
               });
     ranked.reserve(counts.size());
     cumCounts.reserve(counts.size());
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(counts.size());
     for (const auto &[row, count] : counts) {
         fatal_if(row >= hash_size, "profiled row ", row,
                  " outside hash size ", hash_size);
         fatal_if(count == 0, "profiled row ", row,
                  " has a zero access count");
-        fatal_if(!seen.insert(row).second,
-                 "profiled row ", row, " appears twice");
         ranked.push_back(row);
         total += count;
         cumCounts.push_back(total);
         singletons += count == 1;
     }
+    std::vector<std::uint64_t> by_id = ranked;
+    std::sort(by_id.begin(), by_id.end());
+    const auto dup = std::adjacent_find(by_id.begin(), by_id.end());
+    fatal_if(dup != by_id.end(), "profiled row ", *dup,
+             " appears twice");
 }
 
 double

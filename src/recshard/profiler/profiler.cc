@@ -8,92 +8,63 @@
 
 namespace recshard {
 
-DataProfiler::DataProfiler(const ModelSpec &spec,
-                           std::uint64_t dense_threshold)
-    : model(spec)
+EmbProfiler::EmbProfiler(std::uint64_t hash_size,
+                         std::uint64_t dense_threshold)
+    : hashSize(hash_size), useDense(hash_size <= dense_threshold)
 {
-    model.validate();
-    acc.resize(model.numFeatures());
-    for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
-        const auto hash_size = model.features[j].hashSize;
-        acc[j].useDense = hash_size <= dense_threshold;
-        if (acc[j].useDense)
-            acc[j].dense.assign(hash_size, 0);
-    }
+    if (useDense)
+        dense.assign(hash_size, 0);
 }
 
 void
-DataProfiler::addFeatureBatch(std::uint32_t feature,
-                              const FeatureBatch &batch)
+EmbProfiler::add(const FeatureBatch &batch)
 {
-    panic_if(finalized, "profiler reused after finalize()");
-    fatal_if(feature >= model.numFeatures(),
-             "feature ", feature, " out of range");
-    PerFeature &pf = acc[feature];
-    const std::uint64_t hash_size = model.features[feature].hashSize;
-
-    pf.totalSamples += batch.batchSize();
-    pf.presentSamples += batch.presentSamples();
-    pf.lookups += batch.numLookups();
+    panic_if(finished, "profiler reused after finish()");
+    totalSamples += batch.batchSize();
+    presentSamples += batch.presentSamples();
+    lookups += batch.numLookups();
     for (const std::uint64_t row : batch.indices) {
-        panic_if(row >= hash_size, "row ", row,
-                 " outside hash size ", hash_size,
-                 " for feature ", feature);
-        if (pf.useDense)
-            ++pf.dense[row];
+        panic_if(row >= hashSize, "row ", row,
+                 " outside hash size ", hashSize);
+        if (useDense)
+            ++dense[row];
         else
-            ++pf.sparse[row];
+            ++sparse[row];
     }
 }
 
-void
-DataProfiler::addBatch(const SparseBatch &batch)
+EmbProfile
+EmbProfiler::finish()
 {
-    fatal_if(batch.features.size() != model.numFeatures(),
-             "batch feature count ", batch.features.size(),
-             " != model feature count ", model.numFeatures());
-    for (std::uint32_t j = 0; j < model.numFeatures(); ++j)
-        addFeatureBatch(j, batch.features[j]);
-}
+    panic_if(finished, "profiler finished twice");
+    finished = true;
 
-std::vector<EmbProfile>
-DataProfiler::finalize()
-{
-    panic_if(finalized, "profiler finalized twice");
-    finalized = true;
-
-    std::vector<EmbProfile> out(model.numFeatures());
-    for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
-        PerFeature &pf = acc[j];
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-        if (pf.useDense) {
-            for (std::uint64_t row = 0; row < pf.dense.size(); ++row)
-                if (pf.dense[row])
-                    counts.emplace_back(row, pf.dense[row]);
-            pf.dense.clear();
-            pf.dense.shrink_to_fit();
-        } else {
-            counts.reserve(pf.sparse.size());
-            // lint:allow(no-unordered-iteration): FrequencyCdf ctor sorts by (count, row)
-            for (const auto &[row, count] : pf.sparse)
-                counts.emplace_back(row, count);
-            pf.sparse.clear();
-        }
-        EmbProfile &profile = out[j];
-        profile.cdf = FrequencyCdf(model.features[j].hashSize,
-                                   std::move(counts));
-        profile.samplesSeen = pf.totalSamples;
-        profile.lookups = pf.lookups;
-        profile.coverage = pf.totalSamples
-            ? static_cast<double>(pf.presentSamples) /
-                  static_cast<double>(pf.totalSamples)
-            : 0.0;
-        profile.avgPool = pf.presentSamples
-            ? static_cast<double>(pf.lookups) /
-                  static_cast<double>(pf.presentSamples)
-            : 0.0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
+    if (useDense) {
+        for (std::uint64_t row = 0; row < dense.size(); ++row)
+            if (dense[row])
+                counts.emplace_back(row, dense[row]);
+        std::vector<std::uint32_t>().swap(dense);
+    } else {
+        counts.reserve(sparse.size());
+        // lint:allow(no-unordered-iteration): FrequencyCdf ctor sorts by (count, row)
+        for (const auto &[row, count] : sparse)
+            counts.emplace_back(row, count);
+        std::unordered_map<std::uint64_t, std::uint64_t>().swap(sparse);
     }
-    return out;
+    EmbProfile profile;
+    profile.cdf = FrequencyCdf(hashSize, std::move(counts));
+    profile.samplesSeen = totalSamples;
+    profile.lookups = lookups;
+    profile.coverage = totalSamples
+        ? static_cast<double>(presentSamples) /
+              static_cast<double>(totalSamples)
+        : 0.0;
+    profile.avgPool = presentSamples
+        ? static_cast<double>(lookups) /
+              static_cast<double>(presentSamples)
+        : 0.0;
+    return profile;
 }
 
 std::vector<EmbProfile>
@@ -102,28 +73,29 @@ profileDataset(const SyntheticDataset &data, std::uint64_t num_samples,
 {
     fatal_if(num_samples == 0, "cannot profile zero samples");
     fatal_if(batch_size == 0, "batch size must be >= 1");
-    DataProfiler profiler(data.spec());
+    const ModelSpec &model = data.spec();
     // Batch-index region disjoint from training replay (which uses
     // small indices).
     constexpr std::uint64_t kProfileRegion = 1ULL << 40;
-    // Features accumulate into disjoint state, so each worker walks
-    // one feature's batches in batch-index order; the profile is the
-    // one a serial loop over (batch, feature) would build.
-    parallelFor(data.spec().numFeatures(), [&](std::size_t j) {
+    // One item owns one EMB from counter allocation to CDF: it walks
+    // the EMB's batches in batch-index order, the stream a serial
+    // loop over (batch, feature) would feed it, and frees the
+    // counter before the next item starts. After the join the
+    // profiles are only collected.
+    std::vector<EmbProfile> out(model.numFeatures());
+    parallelFor(model.numFeatures(), [&](std::size_t j) {
         const auto feature = static_cast<std::uint32_t>(j);
+        EmbProfiler emb(model.features[j].hashSize);
         std::uint64_t remaining = num_samples;
-        std::uint64_t batch_index = kProfileRegion;
-        while (remaining > 0) {
-            const auto this_batch = static_cast<std::uint32_t>(
+        for (std::uint64_t b = kProfileRegion; remaining > 0; ++b) {
+            const auto n = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(batch_size, remaining));
-            profiler.addFeatureBatch(
-                feature,
-                data.featureBatch(feature, this_batch, batch_index));
-            remaining -= this_batch;
-            ++batch_index;
+            emb.add(data.featureBatch(feature, n, b));
+            remaining -= n;
         }
+        out[j] = emb.finish();
     });
-    return profiler.finalize();
+    return out;
 }
 
 } // namespace recshard

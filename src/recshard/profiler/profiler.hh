@@ -8,6 +8,12 @@
  * <= 1% of a production data store suffices; the profiler is
  * agnostic to the sampling rate — callers feed it however many
  * batches they wish.
+ *
+ * Each EMB is counted by its own EmbProfiler, which lives only from
+ * the EMB's first batch to its finished profile. profileDataset
+ * therefore holds at most one counter per worker at a time: peak
+ * transient memory is O(workers x min(hashSize, 2^25)) count slots,
+ * not the sum of every table's hash size.
  */
 
 #ifndef RECSHARD_PROFILER_PROFILER_HH
@@ -18,7 +24,6 @@
 #include <vector>
 
 #include "recshard/datagen/dataset.hh"
-#include "recshard/datagen/feature_spec.hh"
 #include "recshard/dist/frequency_cdf.hh"
 
 namespace recshard {
@@ -39,54 +44,45 @@ struct EmbProfile
     }
 };
 
-/** Streaming statistics accumulator over sampled batches. */
-class DataProfiler
+/** Exact streaming statistics accumulator for one EMB. */
+class EmbProfiler
 {
   public:
     /**
-     * @param spec            Model being profiled.
-     * @param dense_threshold Tables with hashSize <= threshold use a
+     * @param hash_size       Rows of the EMB being profiled.
+     * @param dense_threshold Tables with hash_size <= threshold use a
      *                        dense count array; larger tables fall
      *                        back to a hash map of touched rows.
      */
-    explicit DataProfiler(const ModelSpec &spec,
-                          std::uint64_t dense_threshold = 1ULL << 25);
+    explicit EmbProfiler(std::uint64_t hash_size,
+                         std::uint64_t dense_threshold = 1ULL << 25);
 
-    /** Accumulate one feature's batch. Calls for distinct features
-     *  touch disjoint state and may run concurrently. */
-    void addFeatureBatch(std::uint32_t feature,
-                         const FeatureBatch &batch);
-
-    /** Accumulate a whole sparse batch. */
-    void addBatch(const SparseBatch &batch);
+    /** Accumulate one batch of this EMB's lookups. */
+    void add(const FeatureBatch &batch);
 
     /**
-     * Produce per-EMB profiles and release the accumulators. The
-     * profiler must not be reused afterwards.
+     * Build the EMB's profile and release the counter. The
+     * accumulator must not be reused afterwards.
      */
-    std::vector<EmbProfile> finalize();
+    EmbProfile finish();
 
   private:
-    struct PerFeature
-    {
-        bool useDense = false;
-        std::vector<std::uint32_t> dense;
-        std::unordered_map<std::uint64_t, std::uint64_t> sparse;
-        std::uint64_t presentSamples = 0;
-        std::uint64_t totalSamples = 0;
-        std::uint64_t lookups = 0;
-    };
-
-    const ModelSpec &model;
-    std::vector<PerFeature> acc;
-    bool finalized = false;
+    std::uint64_t hashSize;
+    bool useDense;
+    bool finished = false;
+    std::vector<std::uint32_t> dense;
+    std::unordered_map<std::uint64_t, std::uint64_t> sparse;
+    std::uint64_t presentSamples = 0;
+    std::uint64_t totalSamples = 0;
+    std::uint64_t lookups = 0;
 };
 
 /**
  * Convenience wrapper: profile `num_samples` samples drawn from the
  * dataset in batches of `batch_size`, using a batch-index region
- * disjoint from training replay. Features are profiled in parallel
- * (base/parallel.hh); the result equals a serial profile.
+ * disjoint from training replay. EMBs are profiled in parallel
+ * (base/parallel.hh), each by one work item from counter to CDF; the
+ * result equals a serial profile.
  */
 std::vector<EmbProfile> profileDataset(const SyntheticDataset &data,
                                        std::uint64_t num_samples,

@@ -342,4 +342,30 @@ TEST(FrequencyCdf, RejectsTooManyRows)
                 ::testing::ExitedWithCode(1), "hash size");
 }
 
+TEST(FrequencyCdf, RejectsDuplicateRow)
+{
+    // Row 7 twice, once hottest and once coldest, so the two copies
+    // are not adjacent in rank order.
+    EXPECT_EXIT(FrequencyCdf(10, {{7, 5}, {2, 3}, {7, 1}}),
+                ::testing::ExitedWithCode(1),
+                "profiled row 7 appears twice");
+}
+
+TEST(FrequencyCdf, RejectsZeroCount)
+{
+    EXPECT_EXIT(FrequencyCdf(10, {{4, 2}, {6, 0}}),
+                ::testing::ExitedWithCode(1),
+                "profiled row 6 has a zero access count");
+}
+
+TEST(FrequencyCdf, RejectsRowAtOrPastHashSize)
+{
+    EXPECT_EXIT(FrequencyCdf(10, {{1, 2}, {10, 1}}),
+                ::testing::ExitedWithCode(1),
+                "profiled row 10 outside hash size 10");
+    EXPECT_EXIT(FrequencyCdf(10, {{11, 4}}),
+                ::testing::ExitedWithCode(1),
+                "profiled row 11 outside hash size 10");
+}
+
 } // namespace

@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/profiler/profiler.hh"
@@ -20,18 +23,16 @@ using namespace recshard;
 
 TEST(Profiler, HandBuiltBatchStatistics)
 {
-    ModelSpec model = makeTinyModel(1, 100, 1);
-    DataProfiler profiler(model);
+    EmbProfiler profiler(100);
 
     // 4 samples: lookups {3, 0(absent), 2, 1} to rows 5,5,9 / 9,5 / 5.
     FeatureBatch fb;
     fb.offsets = {0, 3, 3, 5, 6};
     fb.indices = {5, 5, 9, 9, 5, 5};
-    profiler.addFeatureBatch(0, fb);
+    profiler.add(fb);
 
-    const auto profiles = profiler.finalize();
-    ASSERT_EQ(profiles.size(), 1u);
-    const EmbProfile &p = profiles[0];
+    const EmbProfile p = profiler.finish();
+    EXPECT_EQ(p.cdf.hashSize(), 100u);
     EXPECT_EQ(p.samplesSeen, 4u);
     EXPECT_EQ(p.lookups, 6u);
     EXPECT_DOUBLE_EQ(p.coverage, 0.75);
@@ -66,23 +67,23 @@ TEST(Profiler, SparseAndDensePathsAgree)
     ModelSpec model = makeTinyModel(2, 5000, 21);
     SyntheticDataset data(model, 55);
 
-    DataProfiler dense_prof(model, /*dense_threshold=*/1ULL << 40);
-    DataProfiler sparse_prof(model, /*dense_threshold=*/0);
-    for (std::uint64_t b = 0; b < 10; ++b) {
-        for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
-            const FeatureBatch fb = data.featureBatch(j, 512, b);
-            dense_prof.addFeatureBatch(j, fb);
-            sparse_prof.addFeatureBatch(j, fb);
-        }
-    }
-    const auto a = dense_prof.finalize();
-    const auto b = sparse_prof.finalize();
     for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
-        EXPECT_EQ(a[j].cdf.totalAccesses(), b[j].cdf.totalAccesses());
-        EXPECT_EQ(a[j].cdf.touchedRows(), b[j].cdf.touchedRows());
-        EXPECT_DOUBLE_EQ(a[j].avgPool, b[j].avgPool);
-        EXPECT_DOUBLE_EQ(a[j].coverage, b[j].coverage);
-        EXPECT_EQ(a[j].cdf.icdfSteps(20), b[j].cdf.icdfSteps(20));
+        const std::uint64_t hash_size = model.features[j].hashSize;
+        EmbProfiler dense_prof(hash_size, /*dense_threshold=*/1ULL << 40);
+        EmbProfiler sparse_prof(hash_size, /*dense_threshold=*/0);
+        for (std::uint64_t b = 0; b < 10; ++b) {
+            const FeatureBatch fb = data.featureBatch(j, 512, b);
+            dense_prof.add(fb);
+            sparse_prof.add(fb);
+        }
+        const EmbProfile a = dense_prof.finish();
+        const EmbProfile b = sparse_prof.finish();
+        EXPECT_EQ(a.cdf.totalAccesses(), b.cdf.totalAccesses());
+        EXPECT_EQ(a.cdf.touchedRows(), b.cdf.touchedRows());
+        EXPECT_EQ(a.cdf.rankedRows(), b.cdf.rankedRows());
+        EXPECT_DOUBLE_EQ(a.avgPool, b.avgPool);
+        EXPECT_DOUBLE_EQ(a.coverage, b.coverage);
+        EXPECT_EQ(a.cdf.icdfSteps(20), b.cdf.icdfSteps(20));
     }
 }
 
@@ -141,17 +142,22 @@ TEST(Profiler, ParallelProfileMatchesSequentialLoop)
     constexpr std::uint64_t kSamples = 10000;
     constexpr std::uint32_t kBatch = 4096;
 
-    // The serial loop profileDataset ran before it was parallelized.
-    DataProfiler serial(model);
+    // The serial loop profileDataset ran before it was parallelized:
+    // every EMB's accumulator alive at once, fed batch by batch.
+    std::vector<EmbProfiler> serial;
+    for (const auto &f : model.features)
+        serial.emplace_back(f.hashSize);
     std::uint64_t remaining = kSamples;
     for (std::uint64_t b = 1ULL << 40; remaining > 0; ++b) {
         const auto n = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(kBatch, remaining));
         for (std::uint32_t j = 0; j < model.numFeatures(); ++j)
-            serial.addFeatureBatch(j, data.featureBatch(j, n, b));
+            serial[j].add(data.featureBatch(j, n, b));
         remaining -= n;
     }
-    const auto want = serial.finalize();
+    std::vector<EmbProfile> want;
+    for (auto &emb : serial)
+        want.push_back(emb.finish());
     const auto got = profileDataset(data, kSamples, kBatch);
 
     ASSERT_EQ(got.size(), want.size());
@@ -173,16 +179,93 @@ TEST(Profiler, ParallelProfileMatchesSequentialLoop)
     }
 }
 
+TEST(Profiler, ProfileMatchesReferenceOracle)
+{
+    // Feature 1 is past the dense threshold (2^25 rows), so it takes
+    // the sparse counter; feature 2 is never present, so its profile
+    // is an empty CDF with avgPool 0. 9000 samples at batch 2048 end
+    // on a partial batch.
+    ModelSpec model = makeTinyModel(4, 3000, 63);
+    model.features[1].hashSize = (1ULL << 25) + 777;
+    model.features[1].cardinality = 1ULL << 22;
+    model.features[2].coverage = 0.0;
+    const SyntheticDataset data(model, 4242);
+    constexpr std::uint64_t kSamples = 9000;
+    constexpr std::uint32_t kBatch = 2048;
+    static_assert(kSamples % kBatch != 0, "want a partial batch");
+
+    const auto got = profileDataset(data, kSamples, kBatch);
+    ASSERT_EQ(got.size(), model.numFeatures());
+    for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
+        SCOPED_TRACE("feature " + std::to_string(j));
+        // Count the same stream with an ordered map.
+        std::map<std::uint64_t, std::uint64_t> counts;
+        std::uint64_t present = 0;
+        std::uint64_t lookups = 0;
+        std::uint64_t remaining = kSamples;
+        for (std::uint64_t b = 1ULL << 40; remaining > 0; ++b) {
+            const auto n = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(kBatch, remaining));
+            const FeatureBatch fb = data.featureBatch(j, n, b);
+            for (std::uint32_t s = 0; s < n; ++s)
+                present += fb.offsets[s + 1] > fb.offsets[s];
+            for (const std::uint64_t row : fb.indices)
+                ++counts[row];
+            lookups += fb.indices.size();
+            remaining -= n;
+        }
+        // The map iterates by row id, so a stable sort on count
+        // alone breaks ties by row id.
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> ranked(
+            counts.begin(), counts.end());
+        std::stable_sort(ranked.begin(), ranked.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.second > b.second;
+                         });
+        const auto singletons = static_cast<std::uint64_t>(
+            std::count_if(ranked.begin(), ranked.end(),
+                          [](const auto &rc) { return rc.second == 1; }));
+        const double coverage = static_cast<double>(present) /
+            static_cast<double>(kSamples);
+        const double avg_pool = present
+            ? static_cast<double>(lookups) / static_cast<double>(present)
+            : 0.0;
+
+        const EmbProfile &p = got[j];
+        EXPECT_EQ(p.samplesSeen, kSamples);
+        EXPECT_EQ(p.lookups, lookups);
+        EXPECT_EQ(bits(p.coverage), bits(coverage));
+        EXPECT_EQ(bits(p.avgPool), bits(avg_pool));
+        EXPECT_EQ(p.cdf.hashSize(), model.features[j].hashSize);
+        EXPECT_EQ(p.cdf.totalAccesses(), lookups);
+        EXPECT_EQ(p.cdf.singletonRows(), singletons);
+        ASSERT_EQ(p.cdf.touchedRows(), ranked.size());
+        for (std::uint64_t r = 0; r < ranked.size(); ++r) {
+            ASSERT_EQ(p.cdf.rankedRows()[r], ranked[r].first)
+                << "rank " << r;
+            ASSERT_EQ(p.cdf.countAtRank(r), ranked[r].second)
+                << "rank " << r;
+        }
+    }
+    // The three shapes the model is built to cover.
+    EXPECT_GT(model.features[1].hashSize, 1ULL << 25);
+    EXPECT_GT(got[1].cdf.touchedRows(), 0u);
+    EXPECT_EQ(got[2].cdf.touchedRows(), 0u);
+    EXPECT_EQ(bits(got[2].avgPool), bits(0.0));
+    EXPECT_GT(got[0].cdf.touchedRows(), 0u);
+}
+
 TEST(Profiler, RejectsMisuse)
 {
-    ModelSpec model = makeTinyModel(1, 100, 1);
-    DataProfiler profiler(model);
+    EmbProfiler profiler(100);
     FeatureBatch fb;
-    fb.offsets = {0, 0};
-    EXPECT_EXIT(profiler.addFeatureBatch(7, fb),
-                ::testing::ExitedWithCode(1), "out of range");
-    profiler.finalize();
-    EXPECT_DEATH(profiler.finalize(), "twice");
+    fb.offsets = {0, 1};
+    fb.indices = {100};
+    EXPECT_DEATH(profiler.add(fb), "row 100 outside hash size 100");
+    profiler.finish();
+    fb.indices = {99};
+    EXPECT_DEATH(profiler.add(fb), "reused after finish");
+    EXPECT_DEATH(profiler.finish(), "twice");
 }
 
 } // namespace
