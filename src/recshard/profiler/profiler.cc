@@ -80,8 +80,8 @@ profileDataset(const SyntheticDataset &data, std::uint64_t num_samples,
     // One item owns one EMB from counter allocation to CDF: it walks
     // the EMB's batches in batch-index order, the stream a serial
     // loop over (batch, feature) would feed it, and frees the
-    // counter before the next item starts. After the join the
-    // profiles are only collected.
+    // counter before its worker takes another EMB. After the join
+    // the profiles are only collected.
     std::vector<EmbProfile> out(model.numFeatures());
     parallelFor(model.numFeatures(), [&](std::size_t j) {
         const auto feature = static_cast<std::uint32_t>(j);

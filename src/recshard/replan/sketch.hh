@@ -2,7 +2,7 @@
  * @file
  * Streaming access-frequency sketches for live replanning.
  *
- * The offline DataProfiler counts every row of every table exactly —
+ * The offline EmbProfiler counts every row of every table exactly —
  * affordable over a sampled training store, impossible on a serving
  * hot path. The replan loop instead maintains, per table, a
  * RowFrequencySketch: a count-min sketch (conservative update) for
@@ -15,7 +15,7 @@
  * topK + pruneInterval entries.
  *
  * toCdf() exports the sketch as a FrequencyCdf — the exact type the
- * DataProfiler emits — with the top-k rows carrying their estimated
+ * offline profiler emits — with the top-k rows carrying their estimated
  * counts and the residual mass spread over synthetic tail rows, so
  * every registry planner, assessReshard(), and TierResolver::split()
  * consume live statistics unchanged. LiveProfiler bundles one sketch
@@ -129,7 +129,7 @@ class LiveProfiler
      */
     void observeQuery(const RoutedQuery &query, std::uint32_t kept);
 
-    /** Export per-table profiles compatible with DataProfiler
+    /** Export per-table profiles compatible with profileDataset
      *  output. */
     std::vector<EmbProfile> exportProfiles() const;
 

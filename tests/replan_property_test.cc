@@ -8,7 +8,7 @@
  * the routing and overload tiers — most expectations are exact.
  * The one approximation in the subsystem, the count-min/top-k
  * sketch, gets an explicit error bound against the exact
- * DataProfiler-style CDF built from the identical access stream.
+ * EmbProfiler-style CDF built from the identical access stream.
  *
  * Invariants:
  *   - sketch CDF converges to the exact CDF: accessFraction at
