@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 
 namespace recshard {
 
@@ -37,38 +38,63 @@ RoutedQuery::degradedPrefix(std::uint32_t kept,
 namespace {
 
 /**
- * The materialization loop both trace builders share: `num_queries`
- * arrivals from one LoadGenerator, each query's lookups drawn from
- * the dataset. `before_query(i)` runs before query i is drawn (the
- * drifting trace sets the dataset's month there).
+ * Queries per parallelFor item when lookups are drawn. A chunk's
+ * vectors are allocated together in one worker's malloc arena, in
+ * the order Router::route later reads them; one query per item
+ * scattered neighbouring queries across arenas and slowed serving.
  */
-template <class BeforeQuery>
+constexpr std::uint64_t kQueriesPerItem = 256;
+
+/**
+ * The serial pass both trace builders share: `num_queries` arrivals
+ * from one LoadGenerator, with dense ids in arrival order. Lookups
+ * are left empty for fillLookups().
+ */
 RoutedTrace
-materialize(const SyntheticDataset &data, const LoadConfig &load,
-            std::uint64_t num_queries, BeforeQuery before_query)
+drawArrivals(const LoadConfig &load, std::uint64_t num_queries)
 {
     fatal_if(num_queries == 0, "need at least one query to route");
     LoadGenerator generator(load);
-    const std::uint32_t J = data.spec().numFeatures();
-
     RoutedTrace trace;
     trace.queries.resize(num_queries);
     for (std::uint64_t i = 0; i < num_queries; ++i) {
-        before_query(i);
-        RoutedQuery &rq = trace.queries[i];
-        rq.query = generator.next();
-        rq.query.id = i; // dense ids in arrival order
-        rq.lookups.resize(J);
-        rq.sampleOffsets.resize(J);
-        for (std::uint32_t j = 0; j < J; ++j) {
-            FeatureBatch fb = data.featureBatch(
-                j, rq.query.samples, rq.query.batchIndex);
-            rq.totalLookups += fb.indices.size();
-            rq.lookups[j] = std::move(fb.indices);
-            rq.sampleOffsets[j] = std::move(fb.offsets);
-        }
+        Query &q = trace.queries[i].query;
+        q = generator.next();
+        q.id = i;
     }
     return trace;
+}
+
+/**
+ * Draw the lookups of queries [begin, end) from the dataset's
+ * current month on the worker team. An item is kQueriesPerItem
+ * contiguous queries and fills only those queries, in query order,
+ * so the trace does not depend on the worker count.
+ */
+void
+fillLookups(const SyntheticDataset &data, RoutedTrace &trace,
+            std::uint64_t begin, std::uint64_t end)
+{
+    const std::uint32_t J = data.spec().numFeatures();
+    const std::uint64_t items =
+        (end - begin + kQueriesPerItem - 1) / kQueriesPerItem;
+    parallelFor(items, [&](std::size_t k) {
+        const std::uint64_t first = begin + k * kQueriesPerItem;
+        const std::uint64_t last =
+            std::min(end, first + kQueriesPerItem);
+        for (std::uint64_t i = first; i < last; ++i) {
+            RoutedQuery &rq = trace.queries[i];
+            rq.lookups.resize(J);
+            rq.sampleOffsets.resize(J);
+            for (std::uint32_t j = 0; j < J; ++j) {
+                FeatureBatch fb = data.featureBatch(
+                    j, rq.query.samples, rq.query.batchIndex);
+                rq.totalLookups += fb.indices.size();
+                rq.lookups[j] = std::move(fb.indices);
+                rq.sampleOffsets[j] = std::move(fb.offsets);
+            }
+        }
+    });
 }
 
 } // namespace
@@ -78,7 +104,9 @@ materializeRoutedTrace(const SyntheticDataset &data,
                        const LoadConfig &load,
                        std::uint64_t num_queries)
 {
-    return materialize(data, load, num_queries, [](std::uint64_t) {});
+    RoutedTrace trace = drawArrivals(load, num_queries);
+    fillLookups(data, trace, 0, num_queries);
+    return trace;
 }
 
 RoutedTrace
@@ -89,13 +117,24 @@ materializeDriftingRoutedTrace(SyntheticDataset &data,
 {
     fatal_if(schedule.months == 0,
              "a drifting trace must span >= 1 month");
+    RoutedTrace trace = drawArrivals(load, num_queries);
+    const auto month_of = [&](std::uint64_t i) {
+        return schedule.startMonth +
+            static_cast<std::uint32_t>(i * schedule.months /
+                                       num_queries);
+    };
+    // The month changes only here, between team runs, so no worker
+    // ever sees the dataset change under it.
     const std::uint32_t saved_month = data.month();
-    RoutedTrace trace = materialize(
-        data, load, num_queries, [&](std::uint64_t i) {
-            data.setMonth(schedule.startMonth +
-                          static_cast<std::uint32_t>(
-                              i * schedule.months / num_queries));
-        });
+    for (std::uint64_t begin = 0; begin < num_queries;) {
+        const std::uint32_t month = month_of(begin);
+        std::uint64_t end = begin + 1;
+        while (end < num_queries && month_of(end) == month)
+            ++end;
+        data.setMonth(month);
+        fillLookups(data, trace, begin, end);
+        begin = end;
+    }
     data.setMonth(saved_month);
     return trace;
 }
@@ -185,23 +224,41 @@ readRoutedTrace(std::istream &in)
     for (std::uint64_t i = 0; i < Q; ++i) {
         RoutedQuery &rq = trace.queries[i];
         rq.query.id = readPod<std::uint64_t>(in);
+        fatal_if(rq.query.id != i, "routed-trace query ", i,
+                 " carries id ", rq.query.id,
+                 "; ids must be dense in arrival order");
         rq.query.arrival = readPod<double>(in);
+        fatal_if(i > 0 &&
+                     !(rq.query.arrival >=
+                       trace.queries[i - 1].query.arrival),
+                 "routed-trace query ", i, " arrives at ",
+                 rq.query.arrival, ", before query ", i - 1);
         rq.query.samples = readPod<std::uint32_t>(in);
         rq.query.batchIndex = readPod<std::uint64_t>(in);
         rq.totalLookups = readPod<std::uint64_t>(in);
         const auto J = readPod<std::uint64_t>(in);
         rq.lookups.resize(J);
         rq.sampleOffsets.resize(J);
+        std::uint64_t lookups = 0;
         for (std::uint64_t j = 0; j < J; ++j) {
             rq.lookups[j] = readVec<std::uint64_t>(in);
             rq.sampleOffsets[j] = readVec<std::uint32_t>(in);
-            fatal_if(rq.sampleOffsets[j].size() !=
-                             rq.query.samples + 1ull ||
-                         rq.sampleOffsets[j].back() !=
-                             rq.lookups[j].size(),
+            const std::vector<std::uint32_t> &off =
+                rq.sampleOffsets[j];
+            fatal_if(off.size() != rq.query.samples + 1ull ||
+                         off.back() != rq.lookups[j].size(),
                      "routed-trace query ", i, " feature ", j,
                      " has inconsistent CSR geometry");
+            fatal_if(off.front() != 0 ||
+                         !std::is_sorted(off.begin(), off.end()),
+                     "routed-trace query ", i, " feature ", j,
+                     " has sample offsets that do not start at 0",
+                     " or that decrease");
+            lookups += rq.lookups[j].size();
         }
+        fatal_if(rq.totalLookups != lookups, "routed-trace query ",
+                 i, " claims ", rq.totalLookups,
+                 " lookups but its features hold ", lookups);
     }
     return trace;
 }

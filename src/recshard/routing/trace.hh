@@ -87,6 +87,11 @@ struct RoutedTrace
  * Generate `num_queries` arrivals under `load` and materialize each
  * query's embedding lookups from the dataset. Query ids are dense
  * [0, num_queries) in arrival order.
+ *
+ * The arrivals are drawn serially from one LoadGenerator; the
+ * lookups are then drawn on the parallelFor worker team
+ * (base/parallel.hh), each item filling its own contiguous chunk of
+ * queries. The trace is byte-identical for any worker count.
  */
 RoutedTrace materializeRoutedTrace(const SyntheticDataset &data,
                                    const LoadConfig &load,
@@ -111,6 +116,11 @@ struct DriftTraceSchedule
  * LoadGenerator produces the arrivals, so the arrival process is
  * identical to the static trace's; only the lookups drift. The
  * dataset's month is restored afterwards (hence non-const).
+ *
+ * The lookups are drawn on the worker team as in
+ * materializeRoutedTrace(), one run of same-month queries at a
+ * time: the calling thread sets the month between runs, so no worker
+ * sees it change. The trace is byte-identical for any worker count.
  */
 RoutedTrace materializeDriftingRoutedTrace(
     SyntheticDataset &data, const LoadConfig &load,
@@ -125,8 +135,15 @@ RoutedTrace materializeDriftingRoutedTrace(
  */
 void writeRoutedTrace(std::ostream &out, const RoutedTrace &trace);
 
-/** Read a trace written by writeRoutedTrace(); fatal() on a bad
- *  magic, truncation, or inconsistent CSR geometry. */
+/**
+ * Read a trace written by writeRoutedTrace(). The stream comes from
+ * outside the program, so everything the builders guarantee and the
+ * serving kernel relies on is checked here: fatal() on a bad magic,
+ * truncation, query ids that are not dense [0, Q), arrival stamps
+ * that decrease, CSR geometry that does not match the query's
+ * samples and lookups, sample offsets that do not start at 0 or
+ * that decrease, and a totalLookups other than the features' sum.
+ */
 RoutedTrace readRoutedTrace(std::istream &in);
 
 } // namespace recshard

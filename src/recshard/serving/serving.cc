@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 
 namespace recshard {
 
@@ -24,7 +25,20 @@ struct ServingTrace
     std::vector<std::vector<std::vector<std::uint64_t>>> lookups;
 };
 
-/** Generate and batch one trace under the config's load policy. */
+/**
+ * Sealed micro-batches per parallelFor item when lookups are drawn.
+ * A chunk's vectors are allocated together in one worker's malloc
+ * arena, in the order serveTrace later reads them.
+ */
+constexpr std::size_t kBatchesPerItem = 16;
+
+/**
+ * Generate and batch one trace under the config's load policy. The
+ * arrivals are drawn and batched serially; the lookups are then
+ * drawn on the worker team, each item filling only its own
+ * contiguous batches, so the trace does not depend on the worker
+ * count.
+ */
 ServingTrace
 generateTrace(const SyntheticDataset &data,
               const ServingConfig &config)
@@ -42,20 +56,26 @@ generateTrace(const SyntheticDataset &data,
     // Materialize every lookup once; each plan evaluation reuses
     // them, paying the Zipf-sampling cost a single time.
     const std::uint32_t J = data.spec().numFeatures();
-    trace.lookups.resize(trace.batches.size());
-    for (std::size_t b = 0; b < trace.batches.size(); ++b) {
-        auto &per_feature = trace.lookups[b];
-        per_feature.resize(J);
-        for (const Query &q : trace.batches[b].queries) {
-            for (std::uint32_t j = 0; j < J; ++j) {
-                const FeatureBatch fb =
-                    data.featureBatch(j, q.samples, q.batchIndex);
-                per_feature[j].insert(per_feature[j].end(),
-                                      fb.indices.begin(),
-                                      fb.indices.end());
+    const std::size_t B = trace.batches.size();
+    trace.lookups.resize(B);
+    parallelFor((B + kBatchesPerItem - 1) / kBatchesPerItem,
+                [&](std::size_t k) {
+        const std::size_t last =
+            std::min(B, (k + 1) * kBatchesPerItem);
+        for (std::size_t b = k * kBatchesPerItem; b < last; ++b) {
+            auto &per_feature = trace.lookups[b];
+            per_feature.resize(J);
+            for (const Query &q : trace.batches[b].queries) {
+                for (std::uint32_t j = 0; j < J; ++j) {
+                    const FeatureBatch fb = data.featureBatch(
+                        j, q.samples, q.batchIndex);
+                    per_feature[j].insert(per_feature[j].end(),
+                                          fb.indices.begin(),
+                                          fb.indices.end());
+                }
             }
         }
-    }
+    });
     return trace;
 }
 

@@ -560,6 +560,84 @@ TEST(ReplanTrace, BinaryFormatRoundTrips)
     EXPECT_DEATH(readRoutedTrace(bad), "bad magic");
 }
 
+/** A valid two-query, two-feature trace built by hand. */
+RoutedTrace
+handBuiltTrace()
+{
+    RoutedTrace trace;
+    trace.queries.resize(2);
+    for (std::uint64_t i = 0; i < 2; ++i) {
+        RoutedQuery &rq = trace.queries[i];
+        rq.query.id = i;
+        rq.query.arrival = 0.001 * static_cast<double>(i + 1);
+        rq.query.samples = 2;
+        rq.query.batchIndex = i;
+        rq.lookups = {{1, 2, 3}, {4}};
+        rq.sampleOffsets = {{0, 1, 3}, {0, 0, 1}};
+        rq.totalLookups = 4;
+    }
+    return trace;
+}
+
+/** Write a trace, even one the builders never produce, and read it
+ *  back. */
+RoutedTrace
+rereadTrace(const RoutedTrace &trace)
+{
+    std::stringstream buf(std::ios::in | std::ios::out |
+                          std::ios::binary);
+    writeRoutedTrace(buf, trace);
+    return readRoutedTrace(buf);
+}
+
+TEST(ReplanTrace, ReadAcceptsTheHandBuiltTrace)
+{
+    const RoutedTrace in = rereadTrace(handBuiltTrace());
+    ASSERT_EQ(in.queries.size(), 2u);
+    EXPECT_EQ(in.queries[1].sampleOffsets[1],
+              (std::vector<std::uint32_t>{0, 0, 1}));
+}
+
+TEST(ReplanTrace, ReadRejectsIdsThatAreNotDense)
+{
+    RoutedTrace trace = handBuiltTrace();
+    trace.queries[1].query.id = 0;
+    EXPECT_DEATH(rereadTrace(trace), "query 1 carries id 0");
+}
+
+TEST(ReplanTrace, ReadRejectsOffsetsThatDoNotStartAtZero)
+{
+    RoutedTrace trace = handBuiltTrace();
+    trace.queries[1].sampleOffsets[1] = {1, 1, 1};
+    EXPECT_DEATH(rereadTrace(trace),
+                 "query 1 feature 1 has sample offsets that do not "
+                 "start at 0");
+}
+
+TEST(ReplanTrace, ReadRejectsDecreasingOffsets)
+{
+    RoutedTrace trace = handBuiltTrace();
+    trace.queries[1].sampleOffsets[0] = {0, 4, 3};
+    EXPECT_DEATH(rereadTrace(trace),
+                 "query 1 feature 0 has sample offsets .* decrease");
+}
+
+TEST(ReplanTrace, ReadRejectsAWrongLookupTotal)
+{
+    RoutedTrace trace = handBuiltTrace();
+    trace.queries[1].totalLookups = 5;
+    EXPECT_DEATH(rereadTrace(trace),
+                 "query 1 claims 5 lookups but its features hold 4");
+}
+
+TEST(ReplanTrace, ReadRejectsDecreasingArrivals)
+{
+    RoutedTrace trace = handBuiltTrace();
+    trace.queries[1].query.arrival = 0.0005;
+    EXPECT_DEATH(rereadTrace(trace),
+                 "query 1 arrives at .*before query 0");
+}
+
 TEST(ReplanPipeline, PhaseSixWiresThrough)
 {
     const ModelSpec model = driftableModel(4, 3000, 29);

@@ -407,27 +407,75 @@ traceBytes(const RoutedTrace &trace)
     return out.str();
 }
 
+/** A 4-feature dataset whose hot rows churn 10% a month, standing
+ *  at month 3, plus a load of ~4-sample queries. */
+struct DriftingTraceSetup
+{
+    static ModelSpec fullCardinalityModel()
+    {
+        ModelSpec model = makeTinyModel(4, 3000, 13);
+        for (auto &f : model.features)
+            f.cardinality = f.hashSize;
+        return model;
+    }
+
+    DriftingTraceSetup() : data(fullCardinalityModel(), 13)
+    {
+        DriftModel churn;
+        churn.hotChurnPerMonth = 0.1;
+        data.setDrift(churn);
+        data.setMonth(3);
+        load.meanQuerySamples = 4.0;
+        load.seed = 13;
+    }
+
+    SyntheticDataset data;
+    LoadConfig load;
+};
+
+/**
+ * The trace builders' serial reference: arrivals from one
+ * LoadGenerator, then each query's lookups feature by feature, with
+ * the dataset set to month_of(i) before query i is drawn.
+ */
+template <class MonthOf>
+RoutedTrace
+serialTrace(SyntheticDataset &data, const LoadConfig &load,
+            std::uint64_t num_queries, MonthOf month_of)
+{
+    const std::uint32_t saved_month = data.month();
+    LoadGenerator generator(load);
+    RoutedTrace trace;
+    for (std::uint64_t i = 0; i < num_queries; ++i) {
+        data.setMonth(month_of(i));
+        RoutedQuery rq;
+        rq.query = generator.next();
+        rq.query.id = i;
+        for (std::uint32_t j = 0; j < data.spec().numFeatures(); ++j) {
+            const FeatureBatch fb = data.featureBatch(
+                j, rq.query.samples, rq.query.batchIndex);
+            rq.totalLookups += fb.indices.size();
+            rq.lookups.push_back(fb.indices);
+            rq.sampleOffsets.push_back(fb.offsets);
+        }
+        trace.queries.push_back(std::move(rq));
+    }
+    data.setMonth(saved_month);
+    return trace;
+}
+
 TEST(RoutedTrace, OneMonthDriftingTraceEqualsTheStaticTrace)
 {
-    ModelSpec model = makeTinyModel(4, 3000, 13);
-    for (auto &f : model.features)
-        f.cardinality = f.hashSize;
-    SyntheticDataset data(model, 13);
-    DriftModel churn;
-    churn.hotChurnPerMonth = 0.1;
-    data.setDrift(churn);
-    data.setMonth(3);
-    LoadConfig load;
-    load.meanQuerySamples = 4.0;
-    load.seed = 13;
+    DriftingTraceSetup fx;
+    SyntheticDataset &data = fx.data;
 
     const std::string fixed =
-        traceBytes(materializeRoutedTrace(data, load, 400));
+        traceBytes(materializeRoutedTrace(data, fx.load, 400));
     DriftTraceSchedule schedule;
     schedule.startMonth = data.month();
     schedule.months = 1;
     EXPECT_EQ(traceBytes(materializeDriftingRoutedTrace(
-                  data, load, 400, schedule)),
+                  data, fx.load, 400, schedule)),
               fixed);
     EXPECT_EQ(data.month(), 3u);
 
@@ -435,8 +483,39 @@ TEST(RoutedTrace, OneMonthDriftingTraceEqualsTheStaticTrace)
     // is not vacuous; the dataset's month is restored either way.
     schedule.startMonth = 0;
     EXPECT_NE(traceBytes(materializeDriftingRoutedTrace(
-                  data, load, 400, schedule)),
+                  data, fx.load, 400, schedule)),
               fixed);
+    EXPECT_EQ(data.month(), 3u);
+}
+
+TEST(RoutedTrace, ParallelBuildersMatchASerialReference)
+{
+    DriftingTraceSetup fx;
+    SyntheticDataset &data = fx.data;
+    // 1000 queries are three 256-query chunks plus 232, and three
+    // months over them change month at queries 334 and 667, inside
+    // the second and third chunks.
+    constexpr std::uint64_t kQueries = 1000;
+
+    const auto month_three = [](std::uint64_t) { return 3u; };
+    EXPECT_EQ(traceBytes(materializeRoutedTrace(data, fx.load,
+                                                kQueries)),
+              traceBytes(serialTrace(data, fx.load, kQueries,
+                                     month_three)));
+
+    DriftTraceSchedule schedule;
+    schedule.startMonth = 1;
+    schedule.months = 3;
+    const RoutedTrace drifting = materializeDriftingRoutedTrace(
+        data, fx.load, kQueries, schedule);
+    EXPECT_EQ(data.month(), 3u);
+    EXPECT_EQ(traceBytes(drifting),
+              traceBytes(serialTrace(
+                  data, fx.load, kQueries, [&](std::uint64_t i) {
+                      return schedule.startMonth +
+                          static_cast<std::uint32_t>(
+                              i * schedule.months / kQueries);
+                  })));
     EXPECT_EQ(data.month(), 3u);
 }
 
