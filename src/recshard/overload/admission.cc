@@ -1,7 +1,6 @@
 #include "recshard/overload/admission.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "recshard/base/logging.hh"
 
@@ -53,15 +52,6 @@ class QueueThreshold final : public AdmissionController
  * queue delay (outstanding x EWMA service time) exceeds the target.
  * The service estimate warms up from observed dispatches, so the
  * first queries on a cold cluster are always admitted.
- *
- * The per-node estimates are atomics updated with a CAS loop so
- * the real-time backend's ingest threads can call decide() while
- * node workers call observeDispatch() concurrently (the
- * thread-safety contract in admission.hh). All operations are
- * relaxed: the EWMA is a heuristic load signal, and a decide()
- * racing one update behind costs nothing; in the DES's single
- * thread the arithmetic is bit-identical to the old plain-double
- * path, so virtual-time determinism is unchanged.
  */
 class AdaptiveDelay final : public AdmissionController
 {
@@ -69,10 +59,8 @@ class AdaptiveDelay final : public AdmissionController
     AdaptiveDelay(std::uint32_t num_nodes, double target_seconds,
                   double alpha_)
         : target(target_seconds), alpha(alpha_),
-          service(num_nodes)
+          service(num_nodes, 0.0)
     {
-        for (auto &s : service)
-            s.store(0.0, std::memory_order_relaxed);
     }
 
     AdmissionVerdict
@@ -81,8 +69,7 @@ class AdaptiveDelay final : public AdmissionController
     {
         AdmissionVerdict v;
         const double predicted =
-            static_cast<double>(outstanding) *
-            service[node].load(std::memory_order_relaxed);
+            static_cast<double>(outstanding) * service[node];
         v.pressure = predicted / target;
         v.admit = predicted <= target;
         return v;
@@ -92,15 +79,9 @@ class AdaptiveDelay final : public AdmissionController
     observeDispatch(std::uint32_t node, double, double,
                     double service_seconds) override
     {
-        std::atomic<double> &slot = service[node];
-        double seen = slot.load(std::memory_order_relaxed);
-        double next;
-        do {
-            next = seen == 0.0
-                ? service_seconds
-                : (1.0 - alpha) * seen + alpha * service_seconds;
-        } while (!slot.compare_exchange_weak(
-            seen, next, std::memory_order_relaxed));
+        double &s = service[node];
+        s = s == 0.0 ? service_seconds
+                     : (1.0 - alpha) * s + alpha * service_seconds;
     }
 
     const char *name() const override { return "adaptive"; }
@@ -108,8 +89,8 @@ class AdaptiveDelay final : public AdmissionController
   private:
     const double target;
     const double alpha;
-    /** Per-node EWMA service seconds (see class comment). */
-    std::vector<std::atomic<double>> service;
+    /** Per-node EWMA service seconds; 0 until the first dispatch. */
+    std::vector<double> service;
 };
 
 } // namespace

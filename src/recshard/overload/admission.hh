@@ -42,21 +42,12 @@
  *
  * Controllers are selected by name, the same way planners and cache
  * admission policies are, so the pipeline, report harness, and
- * benches can sweep them uniformly. Under the DES all state is
- * updated from the router's single-threaded virtual-time loop;
- * controllers never see wall-clock time there, so verdicts are
- * deterministic.
- *
- * Thread-safety contract: decide() and observeDispatch() may be
- * called concurrently from different threads — the real-time
- * backend (routing/realtime.hh) has ingest threads deciding while
- * node workers observe dispatches. Implementations must keep their
- * state lock-free ("admit-all" and "queue-threshold" are
- * stateless; "adaptive" holds its per-node EWMAs in relaxed
- * atomics). A verdict may lag a concurrent observation by one
- * update — admission is a heuristic, not a ledger — but reads and
- * writes must never race in the data-race (UB) sense; the TSan CI
- * job enforces this.
+ * benches can sweep them uniformly. All state is updated from the
+ * serving kernel's single-threaded virtual-time loop; controllers
+ * never see wall-clock time, so verdicts are deterministic. The
+ * real-time backend (routing/realtime.hh) never consults one: it
+ * replays the verdicts the DES already made. Controllers are
+ * therefore not thread-safe.
  */
 
 #ifndef RECSHARD_OVERLOAD_ADMISSION_HH

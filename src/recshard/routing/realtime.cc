@@ -25,10 +25,9 @@ struct QueueItem
 };
 
 /**
- * One node's runtime state. The queue and outstanding counter are
- * the producer/worker hand-off; everything else is owned by the
- * single worker thread that drives this node, so the pool's caches
- * and virtual clocks never race.
+ * One node's runtime state. The queue is the producer/worker
+ * hand-off; the pool is owned by the single worker thread that
+ * drives this node, so its caches and virtual clocks never race.
  */
 struct NodeRuntime
 {
@@ -41,13 +40,7 @@ struct NodeRuntime
     }
 
     MpscQueue<QueueItem> queue;
-    std::atomic<std::uint64_t> outstanding{0};
-    std::atomic<std::uint64_t> maxOutstanding{0};
     ShardServerPool pool;
-    /** Worker-owned: previous executeOne finish (virtual), so the
-     *  per-dispatch service time can be recovered from the pool's
-     *  monotone virtual clock. */
-    double virtualFinish = 0.0;
 };
 
 /** Worker-thread-local slice of the conservation/fidelity ledger. */
@@ -74,16 +67,6 @@ struct ProducerLedger
     std::uint64_t shed = 0;
     std::uint64_t shedOfferedCand = 0;
 };
-
-void
-raiseMax(std::atomic<std::uint64_t> &slot, std::uint64_t value)
-{
-    std::uint64_t seen = slot.load(std::memory_order_relaxed);
-    while (seen < value &&
-           !slot.compare_exchange_weak(seen, value,
-                                       std::memory_order_relaxed)) {
-    }
-}
 
 } // namespace
 
@@ -148,18 +131,12 @@ RealTimeExecutor::RealTimeExecutor(const ModelSpec &model_,
 {
     fatal_if(cluster.numNodes() == 0,
              "real-time executor needs >= 1 node");
-    fatal_if(cfg.mode != "mirror" && cfg.mode != "live",
-             "unknown real-time mode '", cfg.mode,
-             "'; known modes: mirror, live");
+    fatal_if(cfg.mode != "mirror", "unknown real-time mode '",
+             cfg.mode, "'; known modes: mirror");
     fatal_if(cfg.router.hedge.enabled,
              "request hedging is a DES-only mechanism; the "
              "real-time backend does not duplicate work (disable "
              "hedge.enabled)");
-    fatal_if(cfg.mode == "live" &&
-                 cfg.router.policy != RoutingPolicy::RoundRobin,
-             "live mode routes statically round-robin (query id "
-             "mod nodes); load- and locality-aware policies are "
-             "only meaningful through the DES twin (mirror mode)");
     // Fail fast on a bad overload config, exactly like the Router.
     makeAdmissionController(cfg.router.overload.admission,
                             cluster.numNodes(),
@@ -182,22 +159,16 @@ RealTimeExecutor::resolvedWorkerThreads() const
 std::uint32_t
 RealTimeExecutor::resolvedProducerThreads() const
 {
-    std::uint32_t p =
-        cfg.producerThreads != 0 ? cfg.producerThreads : 1;
-    // Mirror producers partition the node space; extras would idle.
-    if (cfg.mode == "mirror")
-        p = std::min(p, cluster.numNodes());
-    return p;
+    // Producers partition the node space; extras would idle.
+    return std::min(cfg.producerThreads != 0 ? cfg.producerThreads
+                                             : 1,
+                    cluster.numNodes());
 }
 
 RealTimeReport
 RealTimeExecutor::run(const RoutedTrace &trace) const
 {
-    if (cfg.mode == "live") {
-        static const std::vector<RouteDecision> none;
-        return run(trace, none);
-    }
-    // Mirror: the deterministic twin decides, real threads execute.
+    // The deterministic twin decides, real threads execute.
     std::vector<RouteDecision> decisions;
     Router(model, cluster, cfg.router).route(trace, &decisions);
     return run(trace, decisions);
@@ -209,13 +180,9 @@ RealTimeExecutor::run(
     const std::vector<RouteDecision> &decisions) const
 {
     fatal_if(trace.queries.empty(), "no queries to serve");
-    const bool mirror = cfg.mode == "mirror";
-    fatal_if(mirror && decisions.size() != trace.queries.size(),
+    fatal_if(decisions.size() != trace.queries.size(),
              "decision stream covers ", decisions.size(), " of ",
              trace.queries.size(), " queries");
-    fatal_if(!mirror && !decisions.empty(),
-             "live mode decides at the queues; a pre-recorded "
-             "decision stream would be ignored");
 
     const std::uint32_t N = cluster.numNodes();
     const std::uint64_t Q = trace.queries.size();
@@ -225,14 +192,22 @@ RealTimeExecutor::run(
     const DegradationPolicy degrade(cfg.router.overload.degradation);
     const std::uint32_t tiers =
         degrade.enabled() ? degrade.numTiers() : 1;
-    // Live mode's controller: shared by every producer, so it must
-    // be thread-safe (overload/admission.hh documents the
-    // contract). Mirror mode never consults one — the decision
-    // stream already encodes the DES twin's verdicts.
-    const std::unique_ptr<AdmissionController> admission = mirror
-        ? nullptr
-        : makeAdmissionController(cfg.router.overload.admission, N,
-                                  cfg.router.slaSeconds);
+    // The stream is public input: reject what would index past a
+    // node or tier, or inflate the candidate ledger, before any
+    // thread can trip over it.
+    for (std::uint64_t q = 0; q < Q; ++q) {
+        const RouteDecision &d = decisions[q];
+        fatal_if(d.node >= N, "decision for query ", q,
+                 " names node ", d.node, " of ", N);
+        if (d.shed)
+            continue;
+        fatal_if(d.tier >= tiers, "decision for query ", q,
+                 " names fidelity tier ", d.tier, " of ", tiers);
+        fatal_if(d.keptSamples > trace.queries[q].query.samples,
+                 "decision for query ", q, " keeps ",
+                 d.keptSamples, " of ",
+                 trace.queries[q].query.samples, " candidates");
+    }
 
     std::vector<std::unique_ptr<NodeRuntime>> nodes;
     nodes.reserve(N);
@@ -259,77 +234,31 @@ RealTimeExecutor::run(
             .count();
     };
 
-    auto enqueue = [&](std::uint32_t n, std::uint64_t qid,
-                       std::uint32_t tier, std::uint32_t kept) {
-        NodeRuntime &nr = *nodes[n];
-        const std::uint64_t out =
-            nr.outstanding.fetch_add(1,
-                                     std::memory_order_relaxed) +
-            1;
-        raiseMax(nr.maxOutstanding, out);
-        nr.queue.push({qid, tier, kept, nowSeconds()});
-    };
-
     std::vector<std::thread> producers;
     producers.reserve(P);
     for (std::uint32_t p = 0; p < P; ++p) {
         producers.emplace_back([&, p] {
             ProducerLedger &led = producerLedgers[p];
             ServingMetrics &m = metrics.shard(W + p);
-            if (mirror) {
-                // Node-space partitioning: this producer feeds
-                // exactly the nodes with node % P == p, walking the
-                // full trace in arrival order — so every queue
-                // receives its queries in the same order the DES
-                // dispatched them, and cache counters stay
-                // byte-comparable.
-                for (std::uint64_t q = 0; q < Q; ++q) {
-                    const RouteDecision &d = decisions[q];
-                    if (d.node % P != p)
-                        continue;
-                    if (d.shed) {
-                        ++led.shed;
-                        led.shedOfferedCand +=
-                            trace.queries[q].query.samples;
-                        m.recordShed(nowSeconds(),
-                                     trace.queries[q].query.samples);
-                        continue;
-                    }
-                    enqueue(d.node, q, d.tier, d.keptSamples);
-                }
-                return;
-            }
-            // Live: this producer owns a contiguous query range,
-            // routes statically (query id mod nodes), and asks the
-            // shared admission controller against the node's
-            // *actual* outstanding count — several producers
-            // genuinely contend on each MPSC queue.
-            const std::uint64_t lo = Q * p / P;
-            const std::uint64_t hi = Q * (p + 1) / P;
-            for (std::uint64_t q = lo; q < hi; ++q) {
-                const std::uint32_t n =
-                    static_cast<std::uint32_t>(q % N);
-                const std::uint32_t samples =
-                    trace.queries[q].query.samples;
-                const AdmissionVerdict verdict =
-                    admission->decide(nowSeconds(), n,
-                                      nodes[n]->outstanding.load(
-                                          std::memory_order_relaxed));
-                if ((!verdict.admit && !degrade.enabled()) ||
-                    (degrade.enabled() &&
-                     degrade.shouldShed(verdict))) {
+            // Node-space partitioning: this producer feeds exactly
+            // the nodes with node % P == p, walking the full trace
+            // in arrival order — so every queue receives its
+            // queries in the same order the DES dispatched them,
+            // and cache counters stay byte-comparable.
+            for (std::uint64_t q = 0; q < Q; ++q) {
+                const RouteDecision &d = decisions[q];
+                if (d.node % P != p)
+                    continue;
+                if (d.shed) {
                     ++led.shed;
-                    led.shedOfferedCand += samples;
-                    m.recordShed(nowSeconds(), samples);
+                    led.shedOfferedCand +=
+                        trace.queries[q].query.samples;
+                    m.recordShed(nowSeconds(),
+                                 trace.queries[q].query.samples);
                     continue;
                 }
-                const std::uint32_t tier =
-                    degrade.enabled() ? degrade.tierFor(verdict)
-                                      : 0;
-                const std::uint32_t kept = tier == 0
-                    ? samples
-                    : degrade.degradedSamples(samples, tier);
-                enqueue(n, q, tier, kept);
+                nodes[d.node]->queue.push(
+                    {q, d.tier, d.keptSamples, nowSeconds()});
             }
         });
     }
@@ -382,13 +311,6 @@ RealTimeExecutor::run(
                                     : rq.asBatch(0.0),
                             rq.lookups, pfx);
                     const double now = nowSeconds();
-                    const double service = done_batch.finishTime -
-                        nr.virtualFinish;
-                    nr.virtualFinish = done_batch.finishTime;
-                    if (admission != nullptr)
-                        admission->observeDispatch(
-                            n, now, now - item.enqueueSeconds,
-                            service);
                     ++led.tierQueries[item.tier];
                     led.tierOfferedCand[item.tier] +=
                         rq.query.samples;
@@ -399,8 +321,6 @@ RealTimeExecutor::run(
                     led.executedLookups += executed;
                     m.recordQuery(item.enqueueSeconds, now,
                                   rq.query.samples, item.kept);
-                    nr.outstanding.fetch_sub(
-                        1, std::memory_order_release);
                 }
                 if (!any) {
                     if (done)
@@ -420,13 +340,11 @@ RealTimeExecutor::run(
 
     // ---------------------------------------------------- reduce
     RealTimeReport r;
-    r.mode = cfg.mode;
     r.nodes = N;
     r.workerThreads = W;
     r.producerThreads = P;
-    const std::string admission_name = mirror
-        ? cfg.router.overload.admission.policy
-        : std::string(admission->name());
+    const std::string &admission_name =
+        cfg.router.overload.admission.policy;
     r.name = "realtime+" + cfg.mode + "+" +
         routingPolicyName(cfg.router.policy) +
         (admission_name != "admit-all" ? "+" + admission_name
@@ -470,15 +388,6 @@ RealTimeExecutor::run(
             l.tierCandidateFraction[t] =
                 static_cast<double>(tier_served[t]) /
                 static_cast<double>(tier_offered[t]);
-
-    for (const auto &nr : nodes) {
-        panic_if(nr->outstanding.load(std::memory_order_relaxed) !=
-                     0,
-                 "node finished with queries outstanding");
-        r.maxNodeOutstanding = std::max(
-            r.maxNodeOutstanding,
-            nr->maxOutstanding.load(std::memory_order_relaxed));
-    }
 
     double busy_seconds = 0.0;
     for (const auto &nr : nodes)

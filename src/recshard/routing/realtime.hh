@@ -16,29 +16,18 @@
  * and record wall-clock latencies into per-thread ServingMetrics
  * shards (serving/metrics.hh).
  *
- * Two modes:
- *
- *   "mirror" -- the deterministic twin decides. A DES run records
- *     one RouteDecision per query (node, shed, tier, kept
- *     candidates); ingest threads replay that decision stream into
- *     the node queues and the workers execute it on real cores.
- *     Because each node's queue receives its queries in arrival
- *     order and each node's ShardServerPool is driven by exactly
- *     one worker, per-server execution order — and therefore every
- *     LRU cache hit and every HBM/UVM access count — is identical
- *     to the DES's. The differential test tier
- *     (tests/realtime_differential_test.cc) holds the two backends
- *     to byte-equal conservation and fidelity ledgers; only the
- *     latency axis (virtual vs. wall-clock) may differ.
- *
- *   "live" -- admission decides in real time. Multiple producer
- *     threads partition the trace, route round-robin by query id,
- *     and consult a thread-safe admission controller against each
- *     node's *actual* (atomic) outstanding count before pushing —
- *     the saturation mode bench_throughput_ceiling measures.
- *     Conservation (offered == served + degraded + shed) still
- *     holds exactly; equality with a DES run does not, because
- *     admission saw wall-clock queue states.
+ * The deterministic twin decides: a DES run records one
+ * RouteDecision per query (node, shed, tier, kept candidates);
+ * ingest threads replay that decision stream into the node queues
+ * and the workers execute it on real cores. Because each node's
+ * queue receives its queries in arrival order and each node's
+ * ShardServerPool is driven by exactly one worker, per-server
+ * execution order — and therefore every LRU cache hit and every
+ * HBM/UVM access count — is identical to the DES's. The
+ * differential test tier (tests/realtime_differential_test.cc)
+ * holds the two backends to byte-equal conservation and fidelity
+ * ledgers; only the latency axis (virtual vs. wall-clock) may
+ * differ.
  *
  * What stays DES-only: request hedging (a latency-domain mechanism
  * whose virtual-time accounting has no wall-clock counterpart
@@ -67,8 +56,7 @@ struct RealTimeConfig
      * hedge.enabled must be false (hedging is DES-only).
      */
     RouterConfig router;
-    /** "mirror" (DES-decided, differential-comparable) or "live"
-     *  (wall-clock admission at the queues). */
+    /** Execution mode; "mirror" (DES-decided) is the only one. */
     std::string mode = "mirror";
     /**
      * Node worker threads; 0 auto-detects
@@ -81,11 +69,11 @@ struct RealTimeConfig
      */
     std::uint32_t workerThreads = 0;
     /**
-     * Ingest (producer) threads; 0 auto-detects 1. In mirror mode
-     * producers partition the *node space* (producer p feeds nodes
-     * with node % producers == p), preserving each queue's arrival
-     * order; in live mode they partition the query range, so
-     * several producers genuinely contend on each MPSC queue.
+     * Ingest (producer) threads; 0 auto-detects 1. Producers
+     * partition the *node space* (producer p feeds nodes with
+     * node % producers == p), preserving each queue's arrival
+     * order; extras beyond the node count would idle and are
+     * dropped.
      */
     std::uint32_t producerThreads = 0;
 };
@@ -94,8 +82,8 @@ struct RealTimeConfig
  * The ledgers both backends must agree on: work conservation
  * (offered == full + degraded + shed), the candidate-quality
  * (fidelity) ledger, and tier traffic including cache hits.
- * Wall-clock-dependent fields (latencies, maxNodeOutstanding,
- * QPS) are deliberately excluded.
+ * Wall-clock-dependent fields (latencies, QPS) are deliberately
+ * excluded.
  */
 struct ServingLedger
 {
@@ -128,13 +116,11 @@ struct RealTimeReport
 {
     /** "realtime+mirror+locality-aware+adaptive+degrade", ... */
     std::string name;
-    std::string mode;
     std::uint32_t nodes = 0;
     std::uint32_t workerThreads = 0;
     std::uint32_t producerThreads = 0;
 
-    /** Conservation + fidelity ledgers (DES-comparable in mirror
-     *  mode). */
+    /** Conservation + fidelity ledgers (byte-equal to the DES's). */
     ServingLedger ledger;
 
     /**
@@ -155,9 +141,6 @@ struct RealTimeReport
     /** executedLookups per wall second — the throughput-ceiling
      *  number the bench's floor is written against. */
     double lookupsPerSecond = 0.0;
-    /** Peak queued + running queries on any node (wall-clock
-     *  sampling; excluded from the ledger). */
-    std::uint64_t maxNodeOutstanding = 0;
 };
 
 /** The backend-shared ledger of a DES report. */
@@ -178,9 +161,8 @@ class RealTimeExecutor
      * @param cluster Per-node plans + resolvers (borrowed; must
      *                outlive the executor).
      * @param config  Mode, thread counts, and the shared
-     *                RouterConfig (validated here; hedging and —
-     *                in live mode — non-round-robin policies are
-     *                rejected).
+     *                RouterConfig (validated here; a mode other
+     *                than "mirror" and hedging are rejected).
      */
     RealTimeExecutor(const ModelSpec &model,
                      const RoutingCluster &cluster,
@@ -189,17 +171,19 @@ class RealTimeExecutor
     /**
      * Serve a trace to completion on real threads and report. All
      * node state (queues, pools, caches, counters) is rebuilt per
-     * call. In mirror mode this first runs the DES twin to record
-     * the decision stream; use the two-argument overload to reuse
-     * a stream across runs.
+     * call. This first runs the DES twin to record the decision
+     * stream; use the two-argument overload to reuse a stream
+     * across runs.
      */
     RealTimeReport run(const RoutedTrace &trace) const;
 
     /**
-     * Mirror-mode run replaying a pre-recorded decision stream
-     * (one RouteDecision per query, as produced by
-     * Router::route(trace, &decisions)). Fatal in live mode or on
-     * a size mismatch.
+     * Run replaying a pre-recorded decision stream (one
+     * RouteDecision per query, as produced by
+     * Router::route(trace, &decisions)). Fatal, before any thread
+     * starts, on a size mismatch or on a decision naming a node
+     * outside the cluster, or (unless shed) a tier outside the
+     * degradation policy or more candidates than its query has.
      */
     RealTimeReport
     run(const RoutedTrace &trace,

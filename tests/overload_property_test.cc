@@ -457,4 +457,50 @@ TEST(OverloadProperty, QueueThresholdVerdictMatchesItsContract)
     }
 }
 
+TEST(OverloadProperty, AdaptiveVerdictMatchesItsContract)
+{
+    // A reference EWMA per node, updated with the same expressions
+    // the contract states; every verdict must match it exactly.
+    for (const std::uint64_t seed : seedList()) {
+        Rng rng(seed);
+        const std::uint32_t nodes = 4;
+        AdmissionConfig config;
+        config.policy = "adaptive";
+        config.targetDelaySeconds = rng.uniform(1e-4, 1e-3);
+        config.serviceAlpha = rng.uniform(0.05, 1.0);
+        const double target = config.targetDelaySeconds;
+        const double alpha = config.serviceAlpha;
+        const auto controller =
+            makeAdmissionController(config, nodes, 0.001);
+
+        // A cold node predicts zero delay at any queue depth.
+        for (std::uint32_t n = 0; n < nodes; ++n) {
+            const AdmissionVerdict v =
+                controller->decide(0.0, n, 1000);
+            EXPECT_TRUE(v.admit);
+            EXPECT_EQ(v.pressure, 0.0);
+        }
+
+        std::vector<double> estimate(nodes, 0.0);
+        for (int step = 0; step < 200; ++step) {
+            const auto n =
+                static_cast<std::uint32_t>(rng.uniformInt(0, 3));
+            const double x = rng.uniform(1e-6, 1e-4);
+            controller->observeDispatch(n, 0.0, 0.0, x);
+            estimate[n] = estimate[n] == 0.0
+                ? x
+                : (1.0 - alpha) * estimate[n] + alpha * x;
+
+            const auto out =
+                static_cast<std::uint64_t>(rng.uniformInt(0, 40));
+            const AdmissionVerdict v =
+                controller->decide(0.0, n, out);
+            const double predicted =
+                static_cast<double>(out) * estimate[n];
+            EXPECT_EQ(v.pressure, predicted / target);
+            EXPECT_EQ(v.admit, predicted <= target);
+        }
+    }
+}
+
 } // namespace

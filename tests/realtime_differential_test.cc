@@ -243,59 +243,6 @@ TEST(Differential, RepeatedRealTimeRunsAgreeOnLedgers)
     EXPECT_EQ(a.executedLookups, b.executedLookups);
 }
 
-// ------------------------------------------------------- live
-
-TEST(Live, ConservationHoldsUnderWallClockAdmission)
-{
-    // Live mode's sheds depend on wall-clock queue states, so no
-    // DES comparison — but conservation is exact by construction
-    // and the backend panics internally if any query goes missing.
-    const DiffFixture fx(37, 4000);
-    RouterConfig rc = fx.routerConfig(RoutingPolicy::RoundRobin);
-    rc.overload.admission.policy = "queue-threshold";
-    const std::uint64_t bound = 32;
-    rc.overload.admission.maxOutstanding = bound;
-    RealTimeConfig cfg = realtimeConfig(rc, "live");
-    const std::uint32_t producers = 4;
-    cfg.producerThreads = producers;
-    const RealTimeReport rt =
-        RealTimeExecutor(fx.model, fx.cluster, cfg).run(fx.trace);
-
-    EXPECT_EQ(rt.ledger.offered, fx.trace.queries.size());
-    EXPECT_EQ(rt.ledger.served + rt.ledger.shed,
-              rt.ledger.offered);
-    EXPECT_EQ(rt.ledger.full + rt.ledger.degraded,
-              rt.ledger.served);
-    EXPECT_GT(rt.ledger.served, 0u);
-    EXPECT_LE(rt.ledger.servedCandidates,
-              rt.ledger.offeredCandidates);
-    EXPECT_GT(rt.sustainedQps, 0.0);
-    EXPECT_GT(rt.lookupsPerSecond, 0.0);
-    // Each producer can race past the threshold check by at most
-    // one in-flight admission; the bound cannot be exceeded by
-    // more than the producer count.
-    EXPECT_LE(rt.maxNodeOutstanding, bound + producers);
-}
-
-TEST(Live, AdaptiveAdmissionIsSafeUnderConcurrency)
-{
-    // The adaptive controller's per-node EWMAs are read by ingest
-    // threads while node workers update them — the configuration
-    // the thread-safety contract (and the TSan job) covers.
-    const DiffFixture fx(41, 4000);
-    RouterConfig rc = fx.routerConfig(RoutingPolicy::RoundRobin);
-    rc.overload.admission.policy = "adaptive";
-    rc.overload.degradation.enabled = true;
-    rc.overload.degradation.shedPressure = 8.0;
-    RealTimeConfig cfg = realtimeConfig(rc, "live");
-    cfg.producerThreads = 4;
-    const RealTimeReport rt =
-        RealTimeExecutor(fx.model, fx.cluster, cfg).run(fx.trace);
-    EXPECT_EQ(rt.ledger.served + rt.ledger.shed,
-              rt.ledger.offered);
-    EXPECT_GT(rt.ledger.served, 0u);
-}
-
 // -------------------------------------------------- validation
 //
 // Kept in one suite so the TSan CI job can skip them wholesale
@@ -312,16 +259,6 @@ TEST(Validation, HedgingIsRejectedAsDesOnly)
                  "DES-only");
 }
 
-TEST(Validation, LiveModeRequiresRoundRobin)
-{
-    const DiffFixture fx(43, 50);
-    const RouterConfig rc =
-        fx.routerConfig(RoutingPolicy::LocalityAware);
-    EXPECT_DEATH(RealTimeExecutor(fx.model, fx.cluster,
-                                  realtimeConfig(rc, "live")),
-                 "round-robin");
-}
-
 TEST(Validation, UnknownModeIsFatal)
 {
     const DiffFixture fx(43, 50);
@@ -330,6 +267,59 @@ TEST(Validation, UnknownModeIsFatal)
     EXPECT_DEATH(RealTimeExecutor(fx.model, fx.cluster,
                                   realtimeConfig(rc, "warp")),
                  "known modes");
+    EXPECT_DEATH(RealTimeExecutor(fx.model, fx.cluster,
+                                  realtimeConfig(rc, "live")),
+                 "known modes");
+}
+
+/** A valid admit-all decision stream for the corruption tests. */
+std::vector<RouteDecision>
+recordedDecisions(const DiffFixture &fx, const RouterConfig &rc)
+{
+    std::vector<RouteDecision> decisions;
+    (void)Router(fx.model, fx.cluster, rc).route(fx.trace,
+                                                 &decisions);
+    return decisions;
+}
+
+TEST(Validation, DecisionNamingAMissingNodeIsFatal)
+{
+    const DiffFixture fx(43, 50);
+    const RouterConfig rc =
+        fx.routerConfig(RoutingPolicy::RoundRobin);
+    std::vector<RouteDecision> decisions = recordedDecisions(fx, rc);
+    decisions[7].node = fx.cluster.numNodes();
+    const RealTimeExecutor exec(fx.model, fx.cluster,
+                                realtimeConfig(rc));
+    EXPECT_DEATH(exec.run(fx.trace, decisions),
+                 "query 7 names node 3 of 3");
+}
+
+TEST(Validation, DecisionNamingAMissingTierIsFatal)
+{
+    const DiffFixture fx(43, 50);
+    const RouterConfig rc =
+        fx.routerConfig(RoutingPolicy::RoundRobin);
+    std::vector<RouteDecision> decisions = recordedDecisions(fx, rc);
+    decisions[11].tier = 1; // degradation is off: one tier
+    const RealTimeExecutor exec(fx.model, fx.cluster,
+                                realtimeConfig(rc));
+    EXPECT_DEATH(exec.run(fx.trace, decisions),
+                 "query 11 names fidelity tier 1 of 1");
+}
+
+TEST(Validation, DecisionKeepingExtraCandidatesIsFatal)
+{
+    const DiffFixture fx(43, 50);
+    const RouterConfig rc =
+        fx.routerConfig(RoutingPolicy::RoundRobin);
+    std::vector<RouteDecision> decisions = recordedDecisions(fx, rc);
+    decisions[13].keptSamples =
+        fx.trace.queries[13].query.samples + 1;
+    const RealTimeExecutor exec(fx.model, fx.cluster,
+                                realtimeConfig(rc));
+    EXPECT_DEATH(exec.run(fx.trace, decisions),
+                 "query 13 keeps [0-9]+ of [0-9]+ candidates");
 }
 
 } // namespace
