@@ -155,48 +155,6 @@ RecShardPipeline::run() const
     return result;
 }
 
-double
-planCostUnderProfiles(const ModelSpec &model, const ShardingPlan &plan,
-                      const std::vector<EmbProfile> &profiles,
-                      const SystemSpec &system, std::uint32_t batch,
-                      const std::vector<TierResolver> *resolvers)
-{
-    fatal_if(profiles.size() != model.features.size(),
-             "profiles/model mismatch");
-    if (!resolvers) {
-        // Plan-declared HBM fractions: exactly the planner API's
-        // uniform estimator.
-        return estimatePlanBottleneck(model, profiles, system, plan,
-                                      batch);
-    }
-    fatal_if(plan.tables.size() != model.features.size(),
-             "plan/model mismatch");
-    const EmbCostModel cost(system);
-
-    std::vector<double> gpu_cost(system.numGpus, 0.0);
-    for (std::size_t j = 0; j < plan.tables.size(); ++j) {
-        const auto &f = model.features[j];
-        const auto &p = profiles[j];
-        // Honest fraction: how many of the profile's accesses
-        // land on rows the plan actually pinned in HBM.
-        const auto &ranked = p.cdf.rankedRows();
-        std::uint64_t hot_accesses = 0;
-        for (std::uint64_t r = 0; r < ranked.size(); ++r)
-            if ((*resolvers)[j].inHbm(ranked[r]))
-                hot_accesses += p.cdf.countAtRank(r);
-        const double pct = p.cdf.totalAccesses()
-            ? static_cast<double>(hot_accesses) /
-                  static_cast<double>(p.cdf.totalAccesses())
-            : 1.0;
-        gpu_cost[plan.tables[j].gpu] += p.coverage *
-            cost.estimatedEmbCost(f, p.avgPool, pct, batch);
-    }
-    double worst = 0.0;
-    for (const double c : gpu_cost)
-        worst = std::max(worst, c);
-    return worst;
-}
-
 ReshardAssessment
 assessReshard(const ModelSpec &model,
               const std::vector<EmbProfile> &fresh_profiles,
@@ -206,8 +164,8 @@ assessReshard(const ModelSpec &model,
               const std::string &planner_name)
 {
     ReshardAssessment out;
-    out.incumbentCost = planCostUnderProfiles(
-        model, incumbent, fresh_profiles, system,
+    out.incumbentCost = estimatePlanBottleneck(
+        model, fresh_profiles, system, incumbent,
         solver_options.batchSize, &incumbent_resolvers);
     PlanRequest req = PlanRequest::make(model, fresh_profiles,
                                         system,
@@ -219,8 +177,8 @@ assessReshard(const ModelSpec &model,
              "planner '", planner_name,
              "' found no feasible fresh plan");
     out.freshPlan = std::move(fresh.plan);
-    out.freshCost = planCostUnderProfiles(
-        model, out.freshPlan, fresh_profiles, system,
+    out.freshCost = estimatePlanBottleneck(
+        model, fresh_profiles, system, out.freshPlan,
         solver_options.batchSize);
     out.speedup = out.freshCost > 0.0
         ? out.incumbentCost / out.freshCost : 1.0;

@@ -176,22 +176,6 @@ class RecShardPipeline
     PipelineOptions opts;
 };
 
-/**
- * Estimated bottleneck-GPU embedding cost of a plan under given
- * profiles. If `resolvers` is non-null the per-EMB HBM fractions
- * are computed honestly from hot-set membership (rows the plan
- * actually pinned) rather than assuming the profile's own ranking —
- * this is what makes stale plans look appropriately bad under
- * drifted data.
- */
-double planCostUnderProfiles(const ModelSpec &model,
-                             const ShardingPlan &plan,
-                             const std::vector<EmbProfile> &profiles,
-                             const SystemSpec &system,
-                             std::uint32_t batch,
-                             const std::vector<TierResolver>
-                                 *resolvers = nullptr);
-
 /** Outcome of a Section 3.5 re-sharding assessment. */
 struct ReshardAssessment
 {
@@ -205,7 +189,9 @@ struct ReshardAssessment
  * Quantify the benefit of re-sharding: profile-fresh statistics are
  * given; the incumbent plan (with its original hot sets) is priced
  * against a freshly solved plan. The fresh plan comes from any
- * registered planner (default: the scalable solver).
+ * registered planner (default: the scalable solver). Both are priced
+ * by estimatePlanBottleneck; the incumbent through its resolvers,
+ * so its shares are the fresh accesses landing on each tier's rows.
  */
 ReshardAssessment
 assessReshard(const ModelSpec &model,

@@ -1,7 +1,5 @@
 #include "recshard/memsim/system_spec.hh"
 
-#include <algorithm>
-
 #include "recshard/base/logging.hh"
 
 namespace recshard {
@@ -11,7 +9,7 @@ MemoryTierSpec::validate() const
 {
     panic_if(bandwidth <= 0.0, "tier '", name,
              "' has non-positive bandwidth ", bandwidth,
-             " (would divide by zero in transferTime)");
+             " (every tier time divides by it)");
     panic_if(accessLatency < 0.0, "tier '", name,
              "' has negative access latency ", accessLatency);
 }
@@ -68,13 +66,12 @@ SystemSpec::validate() const
     for (std::size_t i = 0; i < numTiers(); ++i)
         tier(i).validate();
     for (std::size_t i = 1; i < numTiers(); ++i) {
-        if (tier(i).bandwidth > tier(i - 1).bandwidth) {
-            warn("tier '", tier(i).name, "' (",
+        fatal_if(tier(i).bandwidth > tier(i - 1).bandwidth,
+                 "tier '", tier(i).name, "' (",
                  formatBandwidth(tier(i).bandwidth),
                  ") is faster than tier '", tier(i - 1).name, "' (",
                  formatBandwidth(tier(i - 1).bandwidth),
-                 "); tier ordering is inverted");
-        }
+                 ") above it; order the stack fastest first");
     }
 }
 
@@ -88,17 +85,6 @@ SystemSpec::tier(std::size_t i) const
     panic_if(i - 2 >= coldTiers.size(), "tier index ", i,
              " out of range (", numTiers(), " tiers)");
     return coldTiers[i - 2];
-}
-
-std::vector<MemoryTierSpec>
-SystemSpec::tiers() const
-{
-    std::vector<MemoryTierSpec> stack;
-    stack.reserve(numTiers());
-    stack.push_back(hbm);
-    stack.push_back(uvm);
-    stack.insert(stack.end(), coldTiers.begin(), coldTiers.end());
-    return stack;
 }
 
 std::uint64_t
@@ -152,10 +138,8 @@ double
 EmbCostModel::time(std::uint64_t hbm_bytes, std::uint64_t uvm_bytes)
     const
 {
-    const double t_hbm = static_cast<double>(hbm_bytes) / tierBw[0];
-    const double t_uvm = static_cast<double>(uvm_bytes) / tierBw[1];
-    return mode == Combine::Sum ? t_hbm + t_uvm
-                                : std::max(t_hbm, t_uvm);
+    return fold(static_cast<double>(hbm_bytes) / tierBw[0],
+                static_cast<double>(uvm_bytes) / tierBw[1]);
 }
 
 double
@@ -169,10 +153,9 @@ EmbCostModel::timeTiered(
     for (std::size_t i = 0; i < tierBw.size(); ++i) {
         if (bytes_per_tier[i] == 0)
             continue;
-        const double t = tierLat[i] +
-            static_cast<double>(bytes_per_tier[i]) / tierBw[i];
-        total = mode == Combine::Sum ? total + t
-                                     : std::max(total, t);
+        total = fold(total, tierLat[i] +
+                     static_cast<double>(bytes_per_tier[i]) /
+                         tierBw[i]);
     }
     return total;
 }
@@ -184,13 +167,9 @@ EmbCostModel::estimatedEmbCost(const FeatureSpec &f, double avg_pool,
 {
     fatal_if(pct_hbm < 0.0 || pct_hbm > 1.0,
              "HBM access fraction ", pct_hbm, " outside [0,1]");
-    const double step_bytes = avg_pool *
-        static_cast<double>(f.rowBytes()) *
-        static_cast<double>(batch);
-    const double hbm_term = pct_hbm * step_bytes / tierBw[0];
-    const double uvm_term = (1.0 - pct_hbm) * step_bytes / tierBw[1];
-    return mode == Combine::Sum ? hbm_term + uvm_term
-                                : std::max(hbm_term, uvm_term);
+    return twoTierCost(avg_pool * static_cast<double>(f.rowBytes()) *
+                           static_cast<double>(batch),
+                       pct_hbm);
 }
 
 double
@@ -215,9 +194,7 @@ EmbCostModel::estimatedEmbCostTiered(
         // link, so the pooling factor drops out of the byte term.
         const double bytes = tierNear[i] && avg_pool > 1.0
             ? frac * step_bytes / avg_pool : frac * step_bytes;
-        const double t = tierLat[i] + bytes / tierBw[i];
-        total = mode == Combine::Sum ? total + t
-                                     : std::max(total, t);
+        total = fold(total, tierLat[i] + bytes / tierBw[i]);
     }
     return total;
 }

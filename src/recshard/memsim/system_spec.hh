@@ -27,6 +27,7 @@
 #ifndef RECSHARD_MEMSIM_SYSTEM_SPEC_HH
 #define RECSHARD_MEMSIM_SYSTEM_SPEC_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,15 +54,6 @@ struct MemoryTierSpec
      * the link per pooled bag instead of every looked-up row.
      */
     bool nearData = false;
-
-    /** Seconds to transfer the given bytes at full bandwidth. */
-    double transferTime(std::uint64_t bytes) const
-    {
-        panic_if(bandwidth <= 0.0, "tier '", name,
-                 "' has non-positive bandwidth ", bandwidth);
-        return accessLatency +
-            static_cast<double>(bytes) / bandwidth;
-    }
 
     /** Invariants: positive bandwidth, non-negative latency. */
     void validate() const;
@@ -99,7 +91,9 @@ struct SystemSpec
     static SystemSpec fromTiers(std::uint32_t gpus,
                                 std::vector<MemoryTierSpec> tiers);
 
-    /** Validate invariants; fatal() on nonsense. */
+    /** Validate invariants; fatal() on nonsense, including a tier
+     *  that is faster than the tier above it (stack order is the
+     *  only tier order anything uses). */
     void validate() const;
 
     /** Tiers in the stack (always >= 2: hbm and uvm). */
@@ -107,9 +101,6 @@ struct SystemSpec
 
     /** Tier i of the stack (0 = hbm, 1 = uvm, 2+ = coldTiers). */
     const MemoryTierSpec &tier(std::size_t i) const;
-
-    /** The full ordered stack, fastest first: {hbm, uvm, cold...}. */
-    std::vector<MemoryTierSpec> tiers() const;
 
     /** Node-total capacity of tier i (numGpus x per-GPU budget). */
     std::uint64_t totalTierBytes(std::size_t i) const
@@ -176,6 +167,18 @@ class EmbCostModel
         const;
 
     /**
+     * The two-tier Constraint 11 itself, unchecked: `step_bytes`
+     * read per step, `pct_hbm` of them from tier 0 and the rest
+     * from tier 1, combined per the mode. Every two-tier price in
+     * the planners goes through here; hot loops call it directly.
+     */
+    double twoTierCost(double step_bytes, double pct_hbm) const
+    {
+        return fold(pct_hbm * step_bytes / tierBw[0],
+                    (1.0 - pct_hbm) * step_bytes / tierBw[1]);
+    }
+
+    /**
      * N-tier Constraint 11: per-iteration cost of one EMB when
      * `tier_fracs[i]` of its accesses are served by tier i. A
      * near-data tier's byte term drops the pooling factor (only the
@@ -197,6 +200,12 @@ class EmbCostModel
     double uvmBandwidth() const { return tierBw[1]; }
 
   private:
+    /** Fold one tier's time into a running total per the mode. */
+    double fold(double total, double t) const
+    {
+        return mode == Combine::Sum ? total + t : std::max(total, t);
+    }
+
     std::vector<double> tierBw;
     std::vector<double> tierLat;
     std::vector<bool> tierNear;

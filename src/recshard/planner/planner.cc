@@ -5,6 +5,7 @@
 
 #include "recshard/base/logging.hh"
 #include "recshard/base/units.hh"
+#include "recshard/remap/remap_table.hh"
 #include "recshard/tiering/tier_plan.hh"
 
 namespace recshard {
@@ -34,31 +35,65 @@ PlanRequest::validate() const
     system.validate();
 }
 
+namespace {
+
+/** Per-tier shares of the profiled accesses by resolved tier. */
+std::vector<double>
+resolvedTierShares(const TierResolver &resolver,
+                   const FrequencyCdf &cdf, std::size_t num_tiers)
+{
+    std::vector<double> shares(num_tiers, 0.0);
+    if (cdf.totalAccesses() == 0) {
+        shares[0] = 1.0;
+        return shares;
+    }
+    std::vector<std::uint64_t> counts(num_tiers, 0);
+    const auto &ranked = cdf.rankedRows();
+    for (std::uint64_t r = 0; r < ranked.size(); ++r) {
+        const std::uint8_t tier = resolver.tierOf(ranked[r]);
+        fatal_if(tier >= num_tiers, "resolver tier ",
+                 static_cast<unsigned>(tier),
+                 " outside a ", num_tiers, "-tier system");
+        counts[tier] += cdf.countAtRank(r);
+    }
+    for (std::size_t i = 0; i < num_tiers; ++i)
+        shares[i] = static_cast<double>(counts[i]) /
+            static_cast<double>(cdf.totalAccesses());
+    return shares;
+}
+
+} // namespace
+
 double
 estimatePlanBottleneck(const ModelSpec &model,
                        const std::vector<EmbProfile> &profiles,
                        const SystemSpec &system,
-                       const ShardingPlan &plan, std::uint32_t batch)
+                       const ShardingPlan &plan, std::uint32_t batch,
+                       const std::vector<TierResolver> *resolvers)
 {
     fatal_if(plan.tables.size() != model.features.size(),
              "plan/model mismatch");
+    fatal_if(profiles.size() != model.features.size(),
+             "profiles/model mismatch");
+    fatal_if(resolvers && resolvers->size() != model.features.size(),
+             "resolvers/model mismatch");
     const EmbCostModel cost(system);
     std::vector<double> gpu_cost(system.numGpus, 0.0);
     for (std::size_t j = 0; j < plan.tables.size(); ++j) {
         const auto &p = profiles[j];
         const auto &t = plan.tables[j];
-        if (t.tiered()) {
-            gpu_cost[t.gpu] += p.coverage *
-                cost.estimatedEmbCostTiered(
-                    model.features[j], p.avgPool,
-                    tierAccessShares(t, p.cdf, cost.numTiers()),
-                    batch);
-            continue;
-        }
-        const double pct = p.cdf.accessFraction(t.hbmRows);
+        const std::vector<double> shares = resolvers
+            ? resolvedTierShares((*resolvers)[j], p.cdf,
+                                 cost.numTiers())
+            : tierAccessShares(t, p.cdf, cost.numTiers());
         gpu_cost[t.gpu] += p.coverage *
-            cost.estimatedEmbCost(model.features[j], p.avgPool, pct,
-                                  batch);
+            (t.tiered()
+                 ? cost.estimatedEmbCostTiered(model.features[j],
+                                               p.avgPool, shares,
+                                               batch)
+                 : cost.estimatedEmbCost(model.features[j],
+                                         p.avgPool, shares[0],
+                                         batch));
     }
     return *std::max_element(gpu_cost.begin(), gpu_cost.end());
 }

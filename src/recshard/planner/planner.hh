@@ -159,16 +159,27 @@ class Planner
                                PlanDiagnostics &diag) const = 0;
 };
 
+class TierResolver;
+
 /**
- * The shared plan evaluator behind PlanDiagnostics::bottleneckCost:
- * estimated max per-GPU coverage-weighted embedding cost under the
- * profiled CDFs (seconds per iteration of `batch` samples).
+ * The shared plan evaluator behind PlanDiagnostics::bottleneckCost
+ * and the Section 3.5 reshard assessment: estimated max per-GPU
+ * coverage-weighted embedding cost under the profiled CDFs (seconds
+ * per iteration of `batch` samples).
+ *
+ * Without `resolvers`, each EMB's per-tier access shares are the
+ * plan's own (tierAccessShares). With them, the shares are the
+ * profiled counts summed by the tier each row actually resolves to,
+ * so a plan built from stale data is priced against the rows it
+ * really pinned.
  */
 double estimatePlanBottleneck(const ModelSpec &model,
                               const std::vector<EmbProfile> &profiles,
                               const SystemSpec &system,
                               const ShardingPlan &plan,
-                              std::uint32_t batch);
+                              std::uint32_t batch,
+                              const std::vector<TierResolver>
+                                  *resolvers = nullptr);
 
 } // namespace recshard
 

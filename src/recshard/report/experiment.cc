@@ -345,41 +345,34 @@ scalablePlannerCount()
     return count;
 }
 
-ModelEvaluation
-evaluateCached(const ExperimentConfig &cfg,
-               const std::string &model_name, bool ablation)
-{
-    const std::string key = cfg.cacheKey(
-        model_name, ablation ? "ablation" : "strategies");
-    const std::string path = cfg.cacheDir + "/" + key + ".txt";
-    const std::size_t expected =
-        ablation ? 4 : scalablePlannerCount();
-    ModelEvaluation eval;
-    eval.modelName = model_name;
-    if (!cfg.noCache && loadEvaluation(path, eval, expected)) {
-        inform("loaded cached evaluation ", key);
-        return eval;
-    }
-    eval = computeEvaluation(cfg, model_name, ablation);
-    if (!cfg.noCache)
-        storeEvaluation(cfg.cacheDir, key, eval);
-    return eval;
-}
-
 } // namespace
 
 ModelEvaluation
 evaluateModel(const ExperimentConfig &cfg,
               const std::string &model_name)
 {
-    return evaluateCached(cfg, model_name, false);
+    const std::string key = cfg.cacheKey(model_name, "strategies");
+    const std::string path = cfg.cacheDir + "/" + key + ".txt";
+    ModelEvaluation eval;
+    eval.modelName = model_name;
+    if (!cfg.noCache &&
+        loadEvaluation(path, eval, scalablePlannerCount())) {
+        inform("loaded cached evaluation ", key);
+        return eval;
+    }
+    eval = computeEvaluation(cfg, model_name, false);
+    if (!cfg.noCache)
+        storeEvaluation(cfg.cacheDir, key, eval);
+    return eval;
 }
 
 ModelEvaluation
 evaluateAblation(const ExperimentConfig &cfg,
                  const std::string &model_name)
 {
-    return evaluateCached(cfg, model_name, true);
+    // Not memoized: the variant names contain spaces, which the
+    // cache's whitespace-separated entries cannot round-trip.
+    return computeEvaluation(cfg, model_name, true);
 }
 
 const ServingReport &

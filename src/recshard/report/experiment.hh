@@ -93,7 +93,7 @@ ModelEvaluation evaluateModel(const ExperimentConfig &config,
 
 /**
  * Evaluate the Section 6.5 ablation ladder (CDF only, +Coverage,
- * +Pooling, Full) of RecShard on one model.
+ * +Pooling, Full) of RecShard on one model. Not disk-memoized.
  */
 ModelEvaluation evaluateAblation(const ExperimentConfig &config,
                                  const std::string &model_name);

@@ -38,8 +38,8 @@ buildShardMilp(const ModelSpec &model,
     std::vector<double> cj_max(J), mem_max(J);
     double cost_unit = 0.0, mem_unit = 0.0;
     for (int j = 0; j < J; ++j) {
-        cj_max[j] = embCostUnweighted(inputs[j], cost_model, 0.0,
-                                      opts.batchSize);
+        cj_max[j] = cost_model.twoTierCost(
+            inputs[j].stepBytes(opts.batchSize), 0.0);
         mem_max[j] = static_cast<double>(inputs[j].memAtStep(
             static_cast<unsigned>(S)));
         cost_unit = std::max(cost_unit, cj_max[j]);
@@ -153,10 +153,8 @@ buildShardMilp(const ModelSpec &model,
                  static_cast<double>(inputs[j].memAtStep(i)) /
                      mem_unit});
             const double pct = static_cast<double>(i) / S;
-            const double cji = embCostUnweighted(inputs[j],
-                                                 cost_model, pct,
-                                                 opts.batchSize) /
-                cost_unit;
+            const double cji = cost_model.twoTierCost(
+                inputs[j].stepBytes(opts.batchSize), pct) / cost_unit;
             cost_terms.push_back({vX[i][j], cji});
         }
         lp.addConstraint(mem_terms, Relation::EQ, 0);

@@ -36,27 +36,12 @@ buildShardInputs(const ModelSpec &model,
 }
 
 double
-embCostUnweighted(const EmbShardInput &emb, const EmbCostModel &cost,
-                  double pct, std::uint32_t batch)
-{
-    const double step_bytes = emb.avgPool *
-        static_cast<double>(emb.rowBytes) *
-        static_cast<double>(batch);
-    const double hbm_term = pct * step_bytes / cost.hbmBandwidth();
-    const double uvm_term = (1.0 - pct) * step_bytes /
-        cost.uvmBandwidth();
-    return cost.combine() == EmbCostModel::Combine::Sum
-        ? hbm_term + uvm_term
-        : std::max(hbm_term, uvm_term);
-}
-
-double
 embCostAtPct(const EmbShardInput &emb, const EmbCostModel &cost,
              double pct, std::uint32_t batch)
 {
     // Constraint 11 (per-EMB forward-pass cost) weighted by
     // Constraint 12's coverage factor.
-    return emb.coverage * embCostUnweighted(emb, cost, pct, batch);
+    return emb.coverage * cost.twoTierCost(emb.stepBytes(batch), pct);
 }
 
 } // namespace recshard

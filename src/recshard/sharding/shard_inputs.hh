@@ -50,6 +50,14 @@ struct EmbShardInput
         return icdfRows[i] * rowBytes;
     }
 
+    /** Bytes one step of `batch` samples reads from this EMB
+     *  (Constraint 11's volume, before coverage weighting). */
+    double stepBytes(std::uint32_t batch) const
+    {
+        return avgPool * static_cast<double>(rowBytes) *
+            static_cast<double>(batch);
+    }
+
     /** The ICDF step count this input was built with. */
     unsigned numSteps() const
     {
@@ -69,14 +77,6 @@ std::vector<EmbShardInput>
 buildShardInputs(const ModelSpec &model,
                  const std::vector<EmbProfile> &profiles,
                  unsigned steps, AblationSwitches ablation = {});
-
-/**
- * Constraint 11: the per-iteration forward-pass cost of one EMB when
- * `pct` of its accesses come from HBM (no coverage weighting).
- */
-double embCostUnweighted(const EmbShardInput &emb,
-                         const EmbCostModel &cost, double pct,
-                         std::uint32_t batch);
 
 /**
  * The coverage-weighted per-iteration cost of EMB j when `pct` of

@@ -51,9 +51,7 @@ appendBlocks(const std::vector<double> &ratio, bool is_tail,
 SplitWalker::SplitWalker(const std::vector<EmbShardInput> &inputs,
                          const EmbCostModel &cost_model,
                          std::uint32_t batch)
-    : inputs_(inputs), bwHbm_(cost_model.hbmBandwidth()),
-      bwUvm_(cost_model.uvmBandwidth()),
-      combine_(cost_model.combine()), wBytes_(inputs.size()),
+    : inputs_(inputs), cost_(cost_model), wBytes_(inputs.size()),
       incs_(inputs.size())
 {
     // The profiled ICDF covers the (1 - M) share of accesses the
@@ -68,8 +66,9 @@ SplitWalker::SplitWalker(const std::vector<EmbShardInput> &inputs,
         wBytes_[j] = in.coverage * in.avgPool *
             static_cast<double>(in.rowBytes) *
             static_cast<double>(batch);
-        const double gain_unit =
-            wBytes_[j] * (1.0 / bwUvm_ - 1.0 / bwHbm_);
+        const double gain_unit = wBytes_[j] *
+            (1.0 / cost_model.uvmBandwidth() -
+             1.0 / cost_model.hbmBandwidth());
         const double step_gain =
             gain_unit * (1.0 - in.missingMass) / in.numSteps();
         const double tail_gain_per_row = in.tailRows == 0
@@ -132,11 +131,7 @@ SplitWalker::embCost(std::uint32_t j, unsigned step,
         ? in.missingMass
         : in.missingMass * static_cast<double>(tail_taken) /
             static_cast<double>(in.tailRows);
-    const double true_pct = profiled + tail;
-    const double uvm = (1.0 - true_pct) * wBytes_[j] / bwUvm_;
-    const double hbm = true_pct * wBytes_[j] / bwHbm_;
-    return combine_ == EmbCostModel::Combine::Sum ? uvm + hbm
-                                                  : std::max(uvm, hbm);
+    return cost_.twoTierCost(wBytes_[j], profiled + tail);
 }
 
 SplitWalker::Priced

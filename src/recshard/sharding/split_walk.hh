@@ -38,8 +38,8 @@ struct GpuBudgetSplit
 };
 
 /**
- * Prices member sets of one EMB universe. Holds a reference to
- * `inputs`, which must outlive the walker.
+ * Prices member sets of one EMB universe. Holds references to
+ * `inputs` and the cost model, which must outlive the walker.
  */
 class SplitWalker
 {
@@ -117,9 +117,7 @@ class SplitWalker
     };
 
     const std::vector<EmbShardInput> &inputs_;
-    double bwHbm_;
-    double bwUvm_;
-    EmbCostModel::Combine combine_;
+    const EmbCostModel &cost_;
     std::vector<double> wBytes_; //!< coverage*pool*rowBytes*batch
     std::vector<Increments> incs_;
 

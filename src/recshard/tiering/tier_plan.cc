@@ -108,7 +108,6 @@ extendPlanToTiers(const ModelSpec &model,
     if (T == 2)
         return;
 
-    const TieredMemory memory(system.tiers());
     std::vector<std::vector<std::uint64_t>> tier_rows(
         plan.tables.size());
 
@@ -182,14 +181,14 @@ extendPlanToTiers(const ModelSpec &model,
         }
     }
 
+    // Every table's tier rows now sum to its hash size; its access
+    // shares are the CDF ranges of those rank blocks.
     for (std::size_t j = 0; j < plan.tables.size(); ++j) {
-        const MultiTierSplit split = splitAcrossTiers(
-            profiles[j].cdf, memory, tier_rows[j]);
-        plan.tables[j].tierRows = split.rowsPerTier;
-        plan.tables[j].tierAccessFraction =
-            split.accessFractionPerTier;
-        plan.tables[j].hbmAccessFraction =
-            split.accessFractionPerTier[0];
+        EmbPlacement &t = plan.tables[j];
+        t.tierRows = std::move(tier_rows[j]);
+        t.tierAccessFraction.clear();
+        t.tierAccessFraction = tierAccessShares(t, profiles[j].cdf, T);
+        t.hbmAccessFraction = t.tierAccessFraction[0];
     }
 }
 
@@ -202,7 +201,6 @@ maxCombineBottleneck(const ModelSpec &model,
     fatal_if(plan.tables.size() != model.features.size(),
              "plan/model mismatch");
     const std::size_t T = system.numTiers();
-    const TieredMemory memory(system.tiers());
     std::vector<std::vector<double>> gpu_bytes(
         system.numGpus, std::vector<double>(T, 0.0));
 
@@ -223,15 +221,15 @@ maxCombineBottleneck(const ModelSpec &model,
         }
     }
 
+    // Whole bytes per tier, as a kernel reads them.
+    const EmbCostModel cost(system);
     double worst = 0.0;
-    for (const auto &bytes : gpu_bytes) {
-        std::vector<std::uint64_t> rounded(T, 0);
+    for (const auto &bytes : gpu_bytes)
         for (std::size_t i = 0; i < T; ++i)
-            rounded[i] = static_cast<std::uint64_t>(bytes[i]);
-        worst = std::max(
-            worst, memory.time(rounded,
-                               EmbCostModel::Combine::Max));
-    }
+            worst = std::max(
+                worst, static_cast<double>(
+                           static_cast<std::uint64_t>(bytes[i])) /
+                    cost.tierBandwidth(i));
     return worst;
 }
 

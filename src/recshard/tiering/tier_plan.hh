@@ -28,7 +28,7 @@
  *
  *   maxCombineBottleneck() -- the Combine::Max reading of a plan
  *                           (hypothetical fully-concurrent tier
- *                           reads) through TieredMemory::time, for
+ *                           reads) over the stack's bandwidths, for
  *                           planner diagnostics.
  */
 
@@ -38,7 +38,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "recshard/memsim/multi_tier.hh"
+#include "recshard/memsim/system_spec.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/sharding/plan.hh"
 
@@ -78,7 +78,8 @@ std::vector<double> tierAccessShares(const EmbPlacement &placement,
 
 /**
  * Bottleneck-GPU embedding cost under Combine::Max (all tiers read
- * concurrently), priced through TieredMemory::time. Near-data tiers
+ * concurrently): per GPU, the largest of each tier's bytes over
+ * its bandwidth, without access latency. Near-data tiers
  * ship reduced vectors only, as in EmbCostModel. Legacy two-tier
  * placements price as {HBM bytes, tier-1 bytes, 0, ...}.
  */

@@ -8,7 +8,9 @@
 
 #include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
+#include "recshard/planner/registry.hh"
 #include "recshard/sharding/baselines.hh"
+#include "recshard/tiering/topology.hh"
 
 namespace {
 
@@ -169,6 +171,37 @@ TEST(Reshard, NoDriftMeansLittleBenefit)
         model, fresh, sys, result.plan, result.resolvers);
     // Statistically identical data: re-sharding buys very little.
     EXPECT_LT(assess.speedup, 1.15);
+}
+
+TEST(Reshard, ThreeTierSelfAssessmentIsNeutral)
+{
+    // A plan assessed against itself under its own profiles must
+    // price the same both ways on an HBM/DRAM/SSD node: the
+    // incumbent (through its resolvers) and the fresh plan share
+    // one N-tier estimator.
+    const ModelSpec model = makeRm1(2e-4);
+    SyntheticDataset data(model, 42);
+    const auto profiles = profileDataset(data, 6000, 2048);
+    const std::uint32_t gpus = 2;
+    const std::uint64_t total = model.totalBytes();
+    const SystemSpec node =
+        threeTierNode(gpus, total / (16 * gpus), total / (8 * gpus),
+                      total / gpus + (1ULL << 20));
+
+    const RecShardOptions opts;
+    PlanRequest req =
+        PlanRequest::make(model, profiles, node, opts.batchSize);
+    req.solver = opts;
+    const PlanResult solved =
+        PlannerRegistry::create("recshard")->plan(req);
+    ASSERT_TRUE(solved.diag.feasible);
+    const auto resolvers =
+        ExecutionEngine::buildResolvers(model, solved.plan, profiles);
+
+    const ReshardAssessment assess = assessReshard(
+        model, profiles, node, solved.plan, resolvers, opts);
+    EXPECT_GT(assess.freshCost, 0.0);
+    EXPECT_NEAR(assess.speedup, 1.0, 1e-9);
 }
 
 } // namespace

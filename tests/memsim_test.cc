@@ -43,29 +43,9 @@ TEST(SystemSpec, RejectsNonsense)
     sys.hbm.bandwidth = 0.0;
     // A non-positive bandwidth is an internal invariant violation
     // (panic/abort), not a user error: it would silently turn every
-    // downstream cost into inf through transferTime.
+    // downstream cost into inf through its bytes-over-bandwidth
+    // terms.
     EXPECT_EXIT(sys.validate(), ::testing::KilledBySignal(SIGABRT),
-                "bandwidth");
-}
-
-TEST(TierSpec, TransferTime)
-{
-    const MemoryTierSpec tier{"HBM", GB, 2.0 * GBps};
-    EXPECT_DOUBLE_EQ(tier.transferTime(2'000'000'000ULL), 1.0);
-}
-
-TEST(TierSpec, TransferTimeChargesAccessLatency)
-{
-    MemoryTierSpec tier{"SSD", GB, 2.0 * GBps};
-    tier.accessLatency = 100e-6;
-    EXPECT_DOUBLE_EQ(tier.transferTime(2'000'000'000ULL),
-                     1.0 + 100e-6);
-}
-
-TEST(TierSpecDeathTest, TransferTimePanicsOnZeroBandwidth)
-{
-    const MemoryTierSpec tier{"SSD", GB, 0.0};
-    EXPECT_EXIT(tier.transferTime(1), ::testing::KilledBySignal(SIGABRT),
                 "bandwidth");
 }
 
@@ -92,7 +72,25 @@ TEST(SystemSpec, FromTiersBuildsColdStack)
     EXPECT_EQ(sys.coldTiers.size(), 1u);
     EXPECT_EQ(sys.coldCapacityBytes(), (64ULL + 512ULL) * GB);
     EXPECT_EQ(sys.totalTierBytes(2), 4ULL * 512ULL * GB);
-    EXPECT_EQ(sys.tiers().size(), 3u);
+}
+
+TEST(SystemSpecDeathTest, InvertedTierStackIsFatal)
+{
+    // Stack order is the only tier order the planners and the cost
+    // model use, so a colder tier that is faster is a user error
+    // naming both tiers.
+    EXPECT_EXIT(SystemSpec::fromTiers(
+                    2, {MemoryTierSpec{"HBM", GB, 1555.0 * GBps},
+                        MemoryTierSpec{"SSD", GB, 2.0 * GBps},
+                        MemoryTierSpec{"DRAM", GB, 12.8 * GBps}}),
+                ::testing::ExitedWithCode(1), "'DRAM'.*'SSD'");
+    SystemSpec sys = SystemSpec::paper(2, 1.0);
+    sys.uvm.bandwidth = 2.0 * sys.hbm.bandwidth;
+    EXPECT_EXIT(sys.validate(), ::testing::ExitedWithCode(1),
+                "'UVM'.*'HBM'");
+    // Equal bandwidths keep their stack order and stay legal.
+    sys.uvm.bandwidth = sys.hbm.bandwidth;
+    sys.validate();
 }
 
 TEST(CostModel, TimeTieredChargesTouchedTierLatencies)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the Section 4.4 multi-tier generalization: bandwidth
- * ordering, N-tier kernel times, and the optimality of the
- * rank-greedy split.
+ * Tests for the Section 4.4 multi-tier split: a tiered placement's
+ * per-tier access shares (tierAccessShares) are the CDF ranges of
+ * its rank blocks, and the rank-greedy split they describe is
+ * optimal in expected seconds per byte over the stack.
  */
 
 #include <gtest/gtest.h>
@@ -11,82 +12,40 @@
 #include <numeric>
 
 #include "recshard/base/random.hh"
-#include "recshard/memsim/multi_tier.hh"
+#include "recshard/tiering/tier_plan.hh"
 
 namespace {
 
 using namespace recshard;
 
-TieredMemory
+SystemSpec
 hbmDramSsd()
 {
-    return TieredMemory({
-        MemoryTierSpec{"DRAM", 128 * GB, 12.8 * GBps},
-        MemoryTierSpec{"HBM", 24 * GB, 1555.0 * GBps},
-        MemoryTierSpec{"SSD", 2048ULL * GB, 2.0 * GBps},
-    });
+    return SystemSpec::fromTiers(
+        1, {MemoryTierSpec{"HBM", 24 * GB, 1555.0 * GBps},
+            MemoryTierSpec{"DRAM", 128 * GB, 12.8 * GBps},
+            MemoryTierSpec{"SSD", 2048ULL * GB, 2.0 * GBps}});
 }
 
-TEST(TieredMemory, SortsByDescendingBandwidth)
+/** A tiered placement holding `rows` rank-contiguous per tier. */
+EmbPlacement
+tieredPlacement(std::vector<std::uint64_t> rows)
 {
-    const TieredMemory mem = hbmDramSsd();
-    ASSERT_EQ(mem.numTiers(), 3u);
-    EXPECT_EQ(mem.tier(0).name, "HBM");
-    EXPECT_EQ(mem.tier(1).name, "DRAM");
-    EXPECT_EQ(mem.tier(2).name, "SSD");
+    EmbPlacement t;
+    t.hbmRows = rows[0];
+    t.tierRows = std::move(rows);
+    return t;
 }
 
-TEST(TieredMemory, SumAndMaxTimes)
+/** Expected seconds per byte of one access under `shares`. */
+double
+secondsPerByte(const std::vector<double> &shares,
+               const SystemSpec &sys)
 {
-    const TieredMemory mem = hbmDramSsd();
-    // 1 ms on each tier.
-    const std::vector<std::uint64_t> bytes = {
-        static_cast<std::uint64_t>(1555.0 * GBps / 1000),
-        static_cast<std::uint64_t>(12.8 * GBps / 1000),
-        static_cast<std::uint64_t>(2.0 * GBps / 1000),
-    };
-    EXPECT_NEAR(mem.time(bytes), 3e-3, 1e-9);
-    EXPECT_NEAR(mem.time(bytes, EmbCostModel::Combine::Max), 1e-3,
-                1e-9);
-}
-
-TEST(TieredMemory, OneTierStackMakesSumAndMaxAgree)
-{
-    // Degenerate one-tier hierarchy: both combines reduce to a
-    // single bytes / bandwidth term.
-    const TieredMemory mem(
-        {MemoryTierSpec{"HBM", 24 * GB, 1555.0 * GBps}});
-    ASSERT_EQ(mem.numTiers(), 1u);
-    const std::vector<std::uint64_t> bytes = {
-        static_cast<std::uint64_t>(1555.0 * GBps / 1000)};
-    EXPECT_NEAR(mem.time(bytes), 1e-3, 1e-9);
-    EXPECT_NEAR(mem.time(bytes, EmbCostModel::Combine::Max),
-                mem.time(bytes), 1e-15);
-}
-
-TEST(TieredMemory, ZeroByteTiersCostNothingUnderBothCombines)
-{
-    const TieredMemory mem = hbmDramSsd();
-    const std::vector<std::uint64_t> none(3, 0);
-    EXPECT_EQ(mem.time(none), 0.0);
-    EXPECT_EQ(mem.time(none, EmbCostModel::Combine::Max), 0.0);
-    // With exactly one loaded tier the combines agree too.
-    const std::vector<std::uint64_t> ssd_only = {
-        0, 0, static_cast<std::uint64_t>(2.0 * GBps / 1000)};
-    EXPECT_NEAR(mem.time(ssd_only), 1e-3, 1e-9);
-    EXPECT_NEAR(mem.time(ssd_only, EmbCostModel::Combine::Max),
-                mem.time(ssd_only), 1e-15);
-}
-
-TEST(TieredMemory, RejectsBadInput)
-{
-    EXPECT_EXIT(TieredMemory({}), ::testing::ExitedWithCode(1),
-                "tier");
-    EXPECT_EXIT(TieredMemory({MemoryTierSpec{"x", 1, 0.0}}),
-                ::testing::ExitedWithCode(1), "bandwidth");
-    const TieredMemory mem = hbmDramSsd();
-    EXPECT_EXIT(mem.time({1, 2}), ::testing::ExitedWithCode(1),
-                "tier byte counts");
+    double s = 0.0;
+    for (std::size_t i = 0; i < shares.size(); ++i)
+        s += shares[i] / sys.tier(i).bandwidth;
+    return s;
 }
 
 TEST(MultiTierSplit, HottestRowsGoFastest)
@@ -96,31 +55,16 @@ TEST(MultiTierSplit, HottestRowsGoFastest)
     for (std::uint64_t r = 0; r < 10; ++r)
         counts.push_back({r, 50 - 5 * r});
     const FrequencyCdf cdf(10, counts);
-    const TieredMemory mem = hbmDramSsd();
 
-    const MultiTierSplit split = splitAcrossTiers(cdf, mem,
-                                                  {2, 3, 10});
-    EXPECT_EQ(split.rowsPerTier[0], 2u);
-    EXPECT_EQ(split.rowsPerTier[1], 3u);
-    EXPECT_EQ(split.rowsPerTier[2], 5u);
+    const std::vector<double> shares =
+        tierAccessShares(tieredPlacement({2, 3, 5}), cdf, 3);
+    ASSERT_EQ(shares.size(), 3u);
     // Access shares are the CDF ranges of each rank block.
-    EXPECT_NEAR(split.accessFractionPerTier[0],
-                cdf.accessFraction(2), 1e-12);
-    EXPECT_NEAR(split.accessFractionPerTier[1],
-                cdf.accessFraction(5) - cdf.accessFraction(2),
-                1e-12);
-    EXPECT_NEAR(split.accessFractionPerTier[0] +
-                    split.accessFractionPerTier[1] +
-                    split.accessFractionPerTier[2],
-                1.0, 1e-12);
-}
-
-TEST(MultiTierSplit, RejectsInsufficientBudget)
-{
-    const FrequencyCdf cdf(10, {{0, 5}});
-    const TieredMemory mem = hbmDramSsd();
-    EXPECT_EXIT(splitAcrossTiers(cdf, mem, {2, 3, 4}),
-                ::testing::ExitedWithCode(1), "cannot hold");
+    EXPECT_NEAR(shares[0], cdf.accessFraction(2), 1e-12);
+    EXPECT_NEAR(shares[1],
+                cdf.accessFraction(5) - cdf.accessFraction(2), 1e-12);
+    EXPECT_NEAR(shares[0] + shares[1] + shares[2], 1.0, 1e-12);
+    EXPECT_GT(shares[0], shares[2]);
 }
 
 /**
@@ -140,13 +84,21 @@ TEST_P(GreedySplitOptimalityTest, BeatsRandomAssignments)
         counts.push_back({r, static_cast<std::uint64_t>(
                                  rng.uniformInt(1, 500))});
     const FrequencyCdf cdf(rows, counts);
-    const TieredMemory mem = hbmDramSsd();
+    const SystemSpec sys = hbmDramSsd();
     std::vector<std::uint64_t> budget = {
         static_cast<std::uint64_t>(rng.uniformInt(0, 20)),
         static_cast<std::uint64_t>(rng.uniformInt(0, 30)),
         rows, // the last tier always fits everything
     };
-    const MultiTierSplit greedy = splitAcrossTiers(cdf, mem, budget);
+    // Greedy: each tier takes the next ranks up to its budget.
+    std::vector<std::uint64_t> greedy_rows(3, 0);
+    std::uint64_t remaining = rows;
+    for (std::size_t i = 0; i < 3; ++i) {
+        greedy_rows[i] = std::min(budget[i], remaining);
+        remaining -= greedy_rows[i];
+    }
+    const double greedy = secondsPerByte(
+        tierAccessShares(tieredPlacement(greedy_rows), cdf, 3), sys);
 
     // Random row->tier assignments respecting the same budgets.
     const auto &ranked = cdf.rankedRows();
@@ -162,7 +114,7 @@ TEST_P(GreedySplitOptimalityTest, BeatsRandomAssignments)
         std::size_t tier = 0;
         std::uint64_t left = budget[0];
         for (std::uint64_t i = 0; i < rows; ++i) {
-            while (left == 0 && tier + 1 < mem.numTiers())
+            while (left == 0 && tier + 1 < sys.numTiers())
                 left = budget[++tier];
             --left;
             const std::uint64_t rank = perm[i];
@@ -170,9 +122,9 @@ TEST_P(GreedySplitOptimalityTest, BeatsRandomAssignments)
                 ? static_cast<double>(cdf.countAtRank(rank)) /
                       static_cast<double>(cdf.totalAccesses())
                 : 0.0;
-            cost += share / mem.tier(tier).bandwidth;
+            cost += share / sys.tier(tier).bandwidth;
         }
-        EXPECT_LE(greedy.expectedSecondsPerByte, cost + 1e-15);
+        EXPECT_LE(greedy, cost + 1e-15);
     }
 }
 
