@@ -37,8 +37,7 @@ RecShardPipeline::run() const
 
     // Phase 1: training-data profiling (Section 4.1).
     auto t0 = Clock::now();
-    result.profiles = profileDataset(data, opts.profileSamples,
-                                     opts.profileBatchSize);
+    result.profiles = profileDataset(data, opts.profileSamples);
     result.profileSeconds = secondsSince(t0);
 
     // Phase 2: partitioning and placement (Section 4.2) through
@@ -51,8 +50,6 @@ RecShardPipeline::run() const
                                    : opts.solver.batchSize);
     req.solver = opts.solver;
     req.milp = opts.milp;
-    req.seed = opts.plannerSeed;
-    req.rounding = opts.rounding;
     PlanResult solved =
         PlannerRegistry::create(opts.plannerName)->plan(req);
     fatal_if(!solved.diag.feasible,
@@ -110,7 +107,6 @@ RecShardPipeline::run() const
         ClusterPlanOptions cp;
         cp.numNodes = opts.routing.numNodes;
         cp.nodeSpecs = opts.routing.nodeSpecs;
-        cp.plannerName = opts.routing.plannerName;
         cp.solver = opts.solver;
         cp.milp = opts.milp;
         const RoutingCluster cluster = buildRoutingCluster(
@@ -133,7 +129,6 @@ RecShardPipeline::run() const
         ClusterPlanOptions cp;
         cp.numNodes = opts.replanning.numNodes;
         cp.nodeSpecs = opts.replanning.nodeSpecs;
-        cp.plannerName = opts.replanning.plannerName;
         cp.solver = opts.solver;
         cp.milp = opts.milp;
         const RoutingCluster cluster = buildRoutingCluster(

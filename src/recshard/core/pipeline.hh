@@ -67,8 +67,6 @@ struct RoutingPhaseOptions
     std::uint32_t numNodes = 3;
     /** Heterogeneous clusters: one SystemSpec per node. */
     std::vector<SystemSpec> nodeSpecs;
-    /** Planner (registry name) solving each node's slice. */
-    std::string plannerName = "recshard";
     /** Arrival process for the routed query trace. */
     LoadConfig load;
     /** Queries to generate and route. */
@@ -85,8 +83,6 @@ struct ReplanPhaseOptions
     std::uint32_t numNodes = 3;
     /** Heterogeneous clusters: one SystemSpec per node. */
     std::vector<SystemSpec> nodeSpecs;
-    /** Planner (registry name) solving each node's initial slice. */
-    std::string plannerName = "recshard";
     /** Arrival process for the drifting query trace. */
     LoadConfig load;
     /** Queries to generate and serve. */
@@ -103,18 +99,12 @@ struct PipelineOptions
 {
     /** Samples to profile (paper: <=1% of the data store). */
     std::uint64_t profileSamples = 100000;
-    std::uint32_t profileBatchSize = 4096;
     /** Phase-2 strategy, by PlannerRegistry name ("recshard",
      *  "milp", "greedy-size", ...). */
     std::string plannerName = "recshard";
     RecShardOptions solver;
     /** Exact-path controls (used when plannerName == "milp"). */
     MilpShardOptions milp;
-    /** PRNG seed for the stochastic planner ("lp-rounding"):
-     *  same options + same seed → same plan. */
-    std::uint64_t plannerSeed = 0x5eed5eed5eedULL;
-    /** "lp-rounding" controls. */
-    LpRoundingOptions rounding;
     /** Run the optional serving phase on the solved plan. */
     bool evaluateServing = false;
     ServingConfig serving;

@@ -165,8 +165,8 @@ const std::vector<std::string> &admissionControllerNames();
  * outstanding, and a burst-onset queue that deep still holds
  * mostly shallow-tier (near-full-cost) queries, so a laxer split
  * would drag the served p99 past the SLA exactly where overload
- * control is scored. Shared by bench_overload_control and
- * evaluateOverload() so the two never drift apart.
+ * control is scored. bench_overload_control, bench_replan_drift
+ * and perfbench's serving workload all derive their bound here.
  */
 std::uint64_t deriveQueueBound(double sla_seconds,
                                double mean_service_seconds);

@@ -257,7 +257,7 @@ ReplanRun::maybeReplan(std::uint32_t n, double now)
     ++r.assessmentsRun;
     const ReshardAssessment a = assessReshard(
         sub, sub_profiles, cluster.nodeSystem(n), sub_incumbent,
-        sub_resolvers, cfg.solver, cfg.plannerName);
+        sub_resolvers);
     if (a.speedup < cfg.drift.minSpeedup) {
         // Not worth moving rows for: accept the current hit
         // fraction as the new normal so the (expensive) assessment

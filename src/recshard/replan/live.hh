@@ -46,7 +46,6 @@
 #include "recshard/routing/cluster.hh"
 #include "recshard/routing/policy.hh"
 #include "recshard/serving/shard_server.hh"
-#include "recshard/sharding/recshard_solver.hh"
 
 namespace recshard {
 
@@ -71,10 +70,6 @@ struct ReplanConfig
     DriftConfig drift;
     /** Migration step sizing and pacing. */
     MigrationConfig migration;
-    /** Registry planner that solves replacement plans. */
-    std::string plannerName = "recshard";
-    /** Solver controls for the replacement solve. */
-    RecShardOptions solver;
 
     /** Arrivals per epoch: drift is checked (and the latency
      *  window reset) at every epoch boundary. */

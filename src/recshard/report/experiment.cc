@@ -1,12 +1,11 @@
 #include "recshard/report/experiment.hh"
 
-#include <cmath>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "recshard/base/logging.hh"
-#include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/planner/registry.hh"
 #include "recshard/profiler/profiler.hh"
@@ -225,43 +224,6 @@ toStrategyResult(const ModelSpec &model, const ShardingPlan &plan,
     return out;
 }
 
-/** Model, data stream, system, and profiles one config implies. */
-struct PreparedModel
-{
-    ModelSpec model;
-    SyntheticDataset data;
-    SystemSpec sys;
-    std::vector<EmbProfile> profiles;
-};
-
-PreparedModel
-prepareModel(const ExperimentConfig &cfg,
-             const std::string &model_name)
-{
-    ModelSpec model = makeRmByName(model_name, cfg.scale);
-    SyntheticDataset data(model, cfg.seed);
-    PreparedModel p{std::move(model), std::move(data),
-                    SystemSpec::paper(cfg.gpus, cfg.scale), {}};
-    p.profiles = profileDataset(
-        p.data, cfg.profileSamples,
-        std::min<std::uint32_t>(4096, static_cast<std::uint32_t>(
-            cfg.profileSamples)));
-    return p;
-}
-
-/** Per-plan resolver vectors, in plan order. */
-std::vector<std::vector<TierResolver>>
-resolveAll(const PreparedModel &p,
-           const std::vector<ShardingPlan> &plans)
-{
-    std::vector<std::vector<TierResolver>> resolvers;
-    resolvers.reserve(plans.size());
-    for (const auto &plan : plans)
-        resolvers.push_back(ExecutionEngine::buildResolvers(
-            p.model, plan, p.profiles));
-    return resolvers;
-}
-
 /** Compute plans for a variant set and replay them on one trace. */
 ModelEvaluation
 computeEvaluation(const ExperimentConfig &cfg,
@@ -270,11 +232,13 @@ computeEvaluation(const ExperimentConfig &cfg,
     inform("evaluating ", model_name, " at scale ", cfg.scale,
            " on ", cfg.gpus, " GPUs (",
            ablation ? "ablation" : "strategies", ")...");
-    const PreparedModel prep = prepareModel(cfg, model_name);
-    const ModelSpec &model = prep.model;
-    const SyntheticDataset &data = prep.data;
-    const SystemSpec &sys = prep.sys;
-    const auto &profiles = prep.profiles;
+    const ModelSpec model = makeRmByName(model_name, cfg.scale);
+    const SyntheticDataset data(model, cfg.seed);
+    const SystemSpec sys = SystemSpec::paper(cfg.gpus, cfg.scale);
+    const auto profiles = profileDataset(
+        data, cfg.profileSamples,
+        std::min<std::uint32_t>(4096, static_cast<std::uint32_t>(
+            cfg.profileSamples)));
 
     PlanRequest req =
         PlanRequest::make(model, profiles, sys, cfg.batch);
@@ -318,9 +282,12 @@ computeEvaluation(const ExperimentConfig &cfg,
 
     ExecutionEngine engine(data, sys, EmbCostModel(sys));
     std::vector<const ShardingPlan *> plan_ptrs;
-    for (const auto &plan : plans)
+    std::vector<std::vector<TierResolver>> resolvers;
+    for (const auto &plan : plans) {
         plan_ptrs.push_back(&plan);
-    const auto resolvers = resolveAll(prep, plans);
+        resolvers.push_back(
+            ExecutionEngine::buildResolvers(model, plan, profiles));
+    }
     ReplayConfig rc;
     rc.batchSize = cfg.batch;
     rc.warmupIterations = cfg.warmup;
@@ -373,282 +340,6 @@ evaluateAblation(const ExperimentConfig &cfg,
     // Not memoized: the variant names contain spaces, which the
     // cache's whitespace-separated entries cannot round-trip.
     return computeEvaluation(cfg, model_name, true);
-}
-
-const ServingReport &
-ServingEvaluation::byName(const std::string &name) const
-{
-    for (const auto &s : strategies)
-        if (s.strategy == name)
-            return s;
-    fatal("no strategy named '", name, "' in serving evaluation of ",
-          modelName);
-}
-
-ServingEvaluation
-evaluateServing(const ExperimentConfig &cfg,
-                const std::string &model_name,
-                const ServingConfig &serving)
-{
-    inform("serving ", model_name, " at scale ", cfg.scale, " on ",
-           cfg.gpus, " GPUs at ", serving.load.qps, " QPS...");
-    const PreparedModel prep = prepareModel(cfg, model_name);
-
-    const PlanRequest req = PlanRequest::make(
-        prep.model, prep.profiles, prep.sys, cfg.batch);
-    std::vector<ShardingPlan> plans;
-    for (const char *name : {"greedy-size", "recshard"})
-        plans.push_back(
-            PlannerRegistry::create(name)->plan(req).plan);
-
-    std::vector<const ShardingPlan *> plan_ptrs;
-    for (const auto &plan : plans)
-        plan_ptrs.push_back(&plan);
-
-    // "cdf-gated" cache admission consumes the harness's own
-    // profiles; honor caller-supplied CDFs if present.
-    ServingConfig scfg = serving;
-    if (scfg.server.admission.cdfs.empty())
-        scfg.server.admission.cdfs = collectCdfs(prep.profiles);
-
-    ServingEvaluation eval;
-    eval.modelName = model_name;
-    eval.strategies = serveTrafficComparison(
-        prep.data, plan_ptrs, resolveAll(prep, plans), prep.sys,
-        scfg);
-    return eval;
-}
-
-const RoutingReport &
-RoutingEvaluation::byName(const std::string &name) const
-{
-    for (const auto &r : policies)
-        if (r.name == name)
-            return r;
-    fatal("no routing report named '", name,
-          "' in routing evaluation of ", modelName);
-}
-
-RoutingEvaluation
-evaluateRouting(const ExperimentConfig &cfg,
-                const std::string &model_name,
-                const RoutingPhaseOptions &routing)
-{
-    const std::size_t nodes = routing.nodeSpecs.empty()
-        ? routing.numNodes : routing.nodeSpecs.size();
-    inform("routing ", model_name, " at scale ", cfg.scale,
-           " across ", nodes,
-           routing.nodeSpecs.empty()
-               ? " nodes of " + std::to_string(cfg.gpus) + " GPUs"
-               : " heterogeneous nodes",
-           " at ", routing.load.qps, " QPS...");
-    const PreparedModel prep = prepareModel(cfg, model_name);
-
-    ClusterPlanOptions cp;
-    cp.numNodes = routing.numNodes;
-    cp.nodeSpecs = routing.nodeSpecs;
-    cp.plannerName = routing.plannerName;
-    cp.solver.batchSize = cfg.batch;
-    const RoutingCluster cluster = buildRoutingCluster(
-        prep.model, prep.profiles, prep.sys, cp);
-    const RoutedTrace trace = materializeRoutedTrace(
-        prep.data, routing.load, routing.numQueries);
-
-    // Six combinations on one trace: policies without hedging,
-    // then the same policies with it.
-    std::vector<RouterConfig> configs;
-    for (const bool hedging : {false, true}) {
-        for (const RoutingPolicy policy : allRoutingPolicies()) {
-            RouterConfig rc = routing.router;
-            rc.policy = policy;
-            rc.hedge.enabled = hedging;
-            if (rc.server.admission.cdfs.empty())
-                rc.server.admission.cdfs =
-                    collectCdfs(prep.profiles);
-            configs.push_back(rc);
-        }
-    }
-
-    RoutingEvaluation eval;
-    eval.modelName = model_name;
-    eval.nodePlans = cluster.planSet.plans;
-    eval.policies = routeTrafficComparison(prep.model, cluster,
-                                           configs, trace);
-    return eval;
-}
-
-const RoutingReport &
-OverloadEvaluation::at(const std::string &mode,
-                       double multiplier) const
-{
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-        if (modes[m] != mode)
-            continue;
-        for (std::size_t l = 0; l < loadMultipliers.size(); ++l)
-            // Tolerant match: callers may recompute the multiplier
-            // (base * 1.5 and the stored literal differ in ULPs).
-            if (std::abs(loadMultipliers[l] - multiplier) < 1e-9)
-                return reports[m][l];
-    }
-    fatal("no overload report for mode '", mode, "' at ",
-          multiplier, "x saturation");
-}
-
-OverloadEvaluation
-evaluateOverload(const ExperimentConfig &cfg,
-                 const std::string &model_name,
-                 const RoutingPhaseOptions &routing,
-                 const std::vector<double> &load_multipliers)
-{
-    fatal_if(load_multipliers.empty(),
-             "no load multipliers to evaluate");
-    const std::size_t nodes = routing.nodeSpecs.empty()
-        ? routing.numNodes : routing.nodeSpecs.size();
-    inform("overload-controlling ", model_name, " at scale ",
-           cfg.scale, " across ", nodes, " nodes...");
-    const PreparedModel prep = prepareModel(cfg, model_name);
-
-    ClusterPlanOptions cp;
-    cp.numNodes = routing.numNodes;
-    cp.nodeSpecs = routing.nodeSpecs;
-    cp.plannerName = routing.plannerName;
-    cp.solver.batchSize = cfg.batch;
-    const RoutingCluster cluster = buildRoutingCluster(
-        prep.model, prep.profiles, prep.sys, cp);
-
-    RouterConfig base = routing.router;
-    if (base.server.admission.cdfs.empty())
-        base.server.admission.cdfs = collectCdfs(prep.profiles);
-
-    // Saturation probe: the configured load's trace, served once
-    // without admission or hedging, fixes the rate that "1.0x"
-    // means.
-    OverloadEvaluation eval;
-    eval.modelName = model_name;
-    eval.loadMultipliers = load_multipliers;
-    {
-        const RoutedTrace sample = materializeRoutedTrace(
-            prep.data, routing.load, routing.numQueries);
-        eval.saturationQps = estimateSaturationQps(
-            prep.model, cluster, base, sample);
-    }
-    eval.meanServiceSeconds =
-        static_cast<double>(cluster.numNodes()) /
-        eval.saturationQps;
-
-    // Reject and degrade share one controller: the configured one,
-    // or queue-threshold (the simplest real policy) when the
-    // routing config left admission off. An unset bound (the 0
-    // default) is SLA-derived; an explicitly pinned bound is
-    // honored.
-    AdmissionConfig controlled = base.overload.admission;
-    if (controlled.policy == "admit-all")
-        controlled.policy = "queue-threshold";
-    if (controlled.policy == "queue-threshold" &&
-        controlled.maxOutstanding == 0)
-        controlled.maxOutstanding = deriveQueueBound(
-            base.slaSeconds, eval.meanServiceSeconds);
-
-    eval.modes = {"admit-all", "reject", "degrade"};
-    std::vector<RouterConfig> mode_configs(3, base);
-    mode_configs[0].overload = OverloadConfig{};
-    mode_configs[1].overload.admission = controlled;
-    mode_configs[1].overload.degradation.enabled = false;
-    mode_configs[2].overload.admission = controlled;
-    mode_configs[2].overload.degradation.enabled = true;
-    // Arm the brownout->blackout backstop unless the caller pinned
-    // one: a burst beyond the deepest tier's capacity must shed,
-    // or the comparison's degrade column measures queue collapse.
-    // Derived just past the caller's own deepest tier threshold so
-    // any valid tier ladder stays fully reachable.
-    DegradationConfig &dg = mode_configs[2].overload.degradation;
-    if (dg.shedPressure == 0.0)
-        dg.shedPressure = std::max(
-            3.0, dg.tierPressure.empty()
-                     ? 3.0 : dg.tierPressure.back() + 0.5);
-
-    eval.reports.assign(3, {});
-    for (const double mult : load_multipliers) {
-        LoadConfig load = routing.load;
-        load.qps = mult * eval.saturationQps;
-        // One trace per multiplier, shared by all three modes, so
-        // differences are attributable to overload control alone.
-        const RoutedTrace trace = materializeRoutedTrace(
-            prep.data, load, routing.numQueries);
-        for (std::size_t m = 0; m < 3; ++m)
-            eval.reports[m].push_back(
-                Router(prep.model, cluster, mode_configs[m])
-                    .route(trace));
-    }
-    return eval;
-}
-
-ReplanEvaluation
-evaluateReplan(const ExperimentConfig &cfg,
-               const std::string &model_name,
-               const ReplanPhaseOptions &options,
-               const DriftModel &drift, double load_fraction)
-{
-    fatal_if(load_fraction <= 0.0,
-             "replan load fraction must be positive");
-    const std::size_t nodes = options.nodeSpecs.empty()
-        ? options.numNodes : options.nodeSpecs.size();
-    inform("replanning ", model_name, " at scale ", cfg.scale,
-           " across ", nodes, " nodes over ",
-           options.schedule.months, " months...");
-    const PreparedModel prep = prepareModel(cfg, model_name);
-
-    ClusterPlanOptions cp;
-    cp.numNodes = options.numNodes;
-    cp.nodeSpecs = options.nodeSpecs;
-    cp.plannerName = options.plannerName;
-    cp.solver.batchSize = cfg.batch;
-    const RoutingCluster cluster = buildRoutingCluster(
-        prep.model, prep.profiles, prep.sys, cp);
-
-    ReplanConfig rc = options.replan;
-    if (rc.server.admission.cdfs.empty())
-        rc.server.admission.cdfs = collectCdfs(prep.profiles);
-
-    ReplanEvaluation eval;
-    eval.modelName = model_name;
-
-    // Saturation probe on the *planning-time* distribution — the
-    // reference both runs' load is expressed against.
-    {
-        RouterConfig probe;
-        probe.policy = rc.policy;
-        probe.server = rc.server;
-        probe.slaSeconds = rc.slaSeconds;
-        probe.localityLoadPenalty = rc.localityLoadPenalty;
-        const RoutedTrace sample = materializeRoutedTrace(
-            prep.data, options.load, options.numQueries);
-        eval.saturationQps = estimateSaturationQps(
-            prep.model, cluster, probe, sample);
-    }
-
-    // One drifting trace, shared by both runs: month advances
-    // across the stream, so the hot rows the incumbent plans pinned
-    // gradually stop being the hot rows the queries touch.
-    LoadConfig load = options.load;
-    load.qps = load_fraction * eval.saturationQps;
-    eval.offeredQps = load.qps;
-    SyntheticDataset drifting = prep.data;
-    drifting.setDrift(drift);
-    const RoutedTrace trace = materializeDriftingRoutedTrace(
-        drifting, load, options.numQueries, options.schedule);
-
-    ReplanConfig static_rc = rc;
-    static_rc.replanEnabled = false;
-    eval.staticPlan =
-        LiveReplanServer(prep.model, cluster, static_rc)
-            .serve(trace);
-    ReplanConfig live_rc = rc;
-    live_rc.replanEnabled = true;
-    eval.liveReplan =
-        LiveReplanServer(prep.model, cluster, live_rc)
-            .serve(trace);
-    return eval;
 }
 
 namespace paper {

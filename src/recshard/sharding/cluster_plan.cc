@@ -128,8 +128,10 @@ solveNodePlans(const ModelSpec &model,
                 : options.solver.batchSize);
         req.solver = options.solver;
         req.milp = options.milp;
-        req.seed = options.seed + n;
-        req.rounding = options.rounding;
+        // Node n solves with seed + n so replicas don't round
+        // identically by accident while the cluster stays
+        // reproducible.
+        req.seed += n;
         PlanResult solved = planner->plan(req);
         fatal_if(!solved.diag.feasible,
                  "planner '", options.plannerName,

@@ -52,14 +52,6 @@ struct ClusterPlanOptions
     RecShardOptions solver;
     /** Exact-path controls (used when plannerName == "milp"). */
     MilpShardOptions milp;
-    /**
-     * PRNG seed for the stochastic planner; node n solves with
-     * seed + n so replicas don't round identically by accident
-     * while the whole cluster stays reproducible.
-     */
-    std::uint64_t seed = 0x5eed5eed5eedULL;
-    /** "lp-rounding" controls. */
-    LpRoundingOptions rounding;
 };
 
 /** The cluster's sharding decision: one full-model plan per node. */

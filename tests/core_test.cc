@@ -89,6 +89,61 @@ TEST(Pipeline, ServingPhaseAutoWiresCdfGatedAdmission)
     EXPECT_GT(result.servingSeconds, 0.0);
 }
 
+TEST(Pipeline, PhaseFiveWiresThrough)
+{
+    const ModelSpec model = makeTinyModel(8, 3000, 3);
+    SyntheticDataset data(model, 5);
+    SystemSpec sys = SystemSpec::paper(2, 1.0);
+    sys.hbm.capacityBytes = model.totalBytes() / 6;
+    sys.uvm.capacityBytes = model.totalBytes();
+
+    PipelineOptions opts;
+    opts.profileSamples = 20000;
+    opts.evaluateRouting = true;
+    opts.routing.numNodes = 2;
+    opts.routing.numQueries = 1500;
+    opts.routing.load.qps = 2.0e6;
+    opts.routing.router.server.cacheRows = 64;
+    opts.routing.router.overload.admission.policy = "queue-threshold";
+    opts.routing.router.overload.admission.maxOutstanding = 4;
+    opts.routing.router.overload.degradation.enabled = true;
+    opts.routing.router.overload.degradation.shedPressure = 3.0;
+    const PipelineResult result =
+        RecShardPipeline(data, sys, opts).run();
+
+    const RoutingReport &r = result.routing;
+    EXPECT_EQ(r.admission, "queue-threshold");
+    EXPECT_TRUE(r.degradation);
+    EXPECT_EQ(r.queries, 1500u);
+    EXPECT_EQ(r.fullQueries + r.degradedQueries + r.shedQueries,
+              r.queries);
+    EXPECT_EQ(r.servedQueries, r.fullQueries + r.degradedQueries);
+    // Far past saturation both overload responses engage.
+    EXPECT_GT(r.degradedQueries, 0u);
+    EXPECT_GT(r.shedQueries, 0u);
+    EXPECT_GT(result.routingSeconds, 0.0);
+}
+
+TEST(Pipeline, PhaseFiveRejectsUnknownAdmissionBeforeSolving)
+{
+    const ModelSpec model = makeTinyModel(8, 3000, 3);
+    SyntheticDataset data(model, 5);
+    SystemSpec sys = SystemSpec::paper(2, 1.0);
+    sys.hbm.capacityBytes = model.totalBytes() / 6;
+    sys.uvm.capacityBytes = model.totalBytes();
+
+    PipelineOptions opts;
+    opts.profileSamples = 20000;
+    opts.evaluateRouting = true;
+    // More nodes than tables: solving the cluster would fail with
+    // "cannot slice", so the admission error proves the overload
+    // config is checked before any node is solved.
+    opts.routing.numNodes = 16;
+    opts.routing.router.overload.admission.policy = "no-such-policy";
+    EXPECT_DEATH(RecShardPipeline(data, sys, opts).run(),
+                 "unknown admission controller");
+}
+
 TEST(Pipeline, ExactMilpPathOnTinyModel)
 {
     const ModelSpec model = makeTinyModel(4, 800, 11);

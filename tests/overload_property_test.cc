@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -414,7 +415,7 @@ TEST(OverloadProperty, DegradeTiersAreMonotoneAndBounded)
 TEST(OverloadProperty, MisconfigurationsFailFast)
 {
     // queue-threshold needs an explicit bound (0 means "unset";
-    // only the harness/bench derive one).
+    // callers derive one through deriveQueueBound).
     AdmissionConfig unset;
     unset.policy = "queue-threshold";
     EXPECT_DEATH(makeAdmissionController(unset, 2, 0.001),
@@ -434,6 +435,29 @@ TEST(OverloadProperty, MisconfigurationsFailFast)
     // "full fidelity or shed" policy.
     single.shedPressure = 1.0;
     EXPECT_EQ(DegradationPolicy(single).numTiers(), 1u);
+}
+
+TEST(OverloadProperty, DerivedQueueBoundSpendsAThirdOfTheSla)
+{
+    // bound x service ~= sla / 3, truncated, never below 4.
+    EXPECT_EQ(deriveQueueBound(15.0, 1.0), 5u);
+    EXPECT_EQ(deriveQueueBound(0.005, 1e-5), 166u);
+    EXPECT_EQ(deriveQueueBound(12.0, 1.0), 4u);
+    EXPECT_EQ(deriveQueueBound(3.0, 1.0), 4u);
+    EXPECT_EQ(deriveQueueBound(0.001, 1.0), 4u);
+    for (const std::uint64_t seed : seedList()) {
+        Rng rng(seed);
+        const double sla = rng.uniform(1e-4, 1e-1);
+        const double service = rng.uniform(1e-7, 1e-3);
+        EXPECT_EQ(deriveQueueBound(sla, service),
+                  std::max<std::uint64_t>(
+                      4, static_cast<std::uint64_t>(
+                             sla / 3.0 / service)));
+    }
+    EXPECT_DEATH(deriveQueueBound(0.0, 1e-5), "positive SLA");
+    EXPECT_DEATH(deriveQueueBound(-0.005, 1e-5), "positive SLA");
+    EXPECT_DEATH(deriveQueueBound(0.005, 0.0), "positive SLA");
+    EXPECT_DEATH(deriveQueueBound(0.005, -1e-5), "positive SLA");
 }
 
 TEST(OverloadProperty, QueueThresholdVerdictMatchesItsContract)

@@ -30,8 +30,7 @@
  *     stream at every month; nonzero churn leaves month 0
  *     untouched and rotates later months;
  *   - the routed-trace binary format round-trips identically;
- *   - pipeline phase 6 and the experiment-harness comparison wire
- *     through end to end.
+ *   - pipeline phase 6 wires through end to end.
  */
 
 #include <gtest/gtest.h>
@@ -45,7 +44,6 @@
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/replan/live.hh"
-#include "recshard/report/experiment.hh"
 #include "recshard/routing/router.hh"
 #include "recshard/serving/cache_admission.hh"
 #include "recshard/tiering/topology.hh"
@@ -673,44 +671,6 @@ TEST(ReplanPipeline, PhaseSixWiresThrough)
     EXPECT_GT(result.replan.durationSeconds, 0.0);
     EXPECT_GE(result.replan.epochs.size(), 3u);
     EXPECT_GT(result.replanSeconds, 0.0);
-}
-
-TEST(ReplanExperiment, ComparisonWiresThrough)
-{
-    ExperimentConfig cfg;
-    // Small but not tiny: the paper system's UVM capacity scales
-    // with `scale`, and each node parks its foreign slices wholly
-    // in UVM, so too few GPUs overflows plan validation.
-    cfg.scale = 1.0 / 64.0;
-    cfg.gpus = 4;
-    cfg.profileSamples = 4000;
-    cfg.noCache = true;
-
-    ReplanPhaseOptions opts;
-    opts.numNodes = 2;
-    opts.numQueries = 1500;
-    opts.schedule.months = 3;
-    opts.load.meanQuerySamples = 4.0;
-    opts.replan.epochQueries = 500;
-
-    DriftModel churn;
-    churn.hotChurnPerMonth = 0.05;
-
-    const ReplanEvaluation eval =
-        evaluateReplan(cfg, "rm1", opts, churn, 0.6);
-    EXPECT_EQ(eval.modelName, "rm1");
-    EXPECT_GT(eval.saturationQps, 0.0);
-    EXPECT_NEAR(eval.offeredQps, 0.6 * eval.saturationQps, 1e-9);
-    EXPECT_EQ(eval.staticPlan.name, "static-plan");
-    EXPECT_EQ(eval.liveReplan.name, "live-replan");
-    EXPECT_EQ(eval.staticPlan.queries, 1500u);
-    EXPECT_EQ(eval.liveReplan.queries, 1500u);
-    EXPECT_EQ(eval.staticPlan.servedQueries +
-                  eval.staticPlan.shedQueries,
-              1500u);
-    EXPECT_EQ(eval.liveReplan.servedQueries +
-                  eval.liveReplan.shedQueries,
-              1500u);
 }
 
 } // namespace
