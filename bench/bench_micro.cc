@@ -2,11 +2,15 @@
  * @file
  * Microbenchmarks (google-benchmark) for the performance-critical
  * primitives: hashing, Zipf sampling, batch generation, CDF
- * construction, remap application, tier resolution, the solver's
- * split kernel, and a full engine iteration.
+ * construction, remap application, tier resolution, the serving
+ * cache's touch, the solver's split kernel, and a full engine
+ * iteration.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "recshard/base/random.hh"
 #include "recshard/datagen/model_zoo.hh"
@@ -17,6 +21,8 @@
 #include "recshard/lp/simplex.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/remap/remap_table.hh"
+#include "recshard/serving/cache_admission.hh"
+#include "recshard/serving/lru_cache.hh"
 #include "recshard/sharding/recshard_solver.hh"
 
 namespace {
@@ -136,6 +142,64 @@ BM_TierResolve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TierResolve);
+
+/**
+ * LruRowCache::touch over a Zipf-skewed stream of (table, row) keys.
+ * Arg 0 is the capacity in rows; Arg 1 = 1 fronts the cache with
+ * "cdf-gated" admission built from a profile of the same
+ * distribution. {500, 1} is the serving workload's per-GPU cache;
+ * {4096, 0} is a plain LRU at perfbench's probe size.
+ */
+void
+BM_LruTouch(benchmark::State &state)
+{
+    constexpr std::uint32_t kTables = 8;
+    constexpr std::uint64_t kRows = 1 << 18;
+    constexpr std::size_t kKeys = 1 << 20;
+    const auto capacity = static_cast<std::uint64_t>(state.range(0));
+    const ZipfSampler zipf(kRows, 1.05);
+    Rng rng(17);
+
+    std::vector<FrequencyCdf> cdfs;
+    std::vector<const FrequencyCdf *> cdfPtrs;
+    if (state.range(1)) {
+        std::vector<std::uint64_t> counts(kRows);
+        for (std::uint32_t t = 0; t < kTables; ++t) {
+            std::fill(counts.begin(), counts.end(), 0);
+            for (std::size_t i = 0; i < kKeys / kTables; ++i)
+                ++counts[zipf(rng)];
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> touched;
+            for (std::uint64_t r = 0; r < kRows; ++r)
+                if (counts[r])
+                    touched.push_back({r, counts[r]});
+            cdfs.emplace_back(kRows, std::move(touched));
+        }
+        for (const FrequencyCdf &cdf : cdfs)
+            cdfPtrs.push_back(&cdf);
+    }
+    std::unique_ptr<CacheAdmission> admission;
+    if (!cdfPtrs.empty()) {
+        CacheAdmissionConfig cfg;
+        cfg.policy = "cdf-gated";
+        cfg.cdfs = cdfPtrs;
+        admission = makeCacheAdmission(cfg, capacity);
+    }
+
+    std::vector<std::uint64_t> keys(kKeys);
+    for (std::uint64_t &key : keys)
+        key = LruRowCache::rowKey(
+            static_cast<std::uint32_t>(rng.uniformInt(0, kTables - 1)),
+            zipf(rng));
+    LruRowCache cache(capacity, admission.get());
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.touch(keys[i]));
+        i = (i + 1) & (kKeys - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["hit_rate"] = cache.hitRate();
+}
+BENCHMARK(BM_LruTouch)->Args({500, 1})->Args({4096, 0});
 
 void
 BM_SimplexSolve(benchmark::State &state)

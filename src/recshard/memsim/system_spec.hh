@@ -191,7 +191,6 @@ class EmbCostModel
                                       &tier_fracs,
                                   std::uint32_t batch) const;
 
-    Combine combine() const { return mode; }
     std::size_t numTiers() const { return tierBw.size(); }
     double tierBandwidth(std::size_t i) const;
     double tierLatency(std::size_t i) const;

@@ -14,9 +14,14 @@
  * The cache is array-backed: the recency list is a doubly linked
  * list of 32-bit indices over a fixed array of entries, and the key
  * index is an open-addressed power-of-two slot table (linear
- * probing, backward-shift deletion) over the same entries. All of
- * it is allocated once, in the constructor, so a touch never
- * allocates and never chases a heap node.
+ * probing, backward-shift deletion) over the same entries. The slot
+ * table holds at least 8 slots per cached row, so its load factor
+ * is at most 1/8: almost every probe ends at the key's home slot,
+ * and a miss's three probes (the victim's slot, its shift-delete,
+ * the new key's slot) cost about one slot read each. The price is
+ * 32-64 bytes of index per cached row. All of it is allocated once,
+ * in the constructor, so a touch never allocates and never chases a
+ * heap node.
  *
  * What may *enter* the cache is delegated to a CacheAdmission
  * policy (cache_admission.hh): a plain LRU admits every miss, so
@@ -46,7 +51,10 @@ class LruRowCache
   public:
     /**
      * @param capacity_rows Rows the cache can hold; 0 disables.
-     *                      Must fit a 32-bit entry index.
+     *                      Must fit a 32-bit entry index. The slot
+     *                      table is sized at the smallest power of
+     *                      two >= 8x this (load <= 1/8, 32-64 bytes
+     *                      of index per row: 16 KB at 500 rows).
      * @param admission     Optional admission gate consulted on
      *                      every miss (borrowed; must outlive the
      *                      cache). Null admits everything.
@@ -91,6 +99,8 @@ class LruRowCache
   private:
     /** Null link and empty slot. */
     static constexpr std::uint32_t kNil = UINT32_MAX;
+    /** Minimum slot-table slots per cached row (load <= 1/8). */
+    static constexpr std::uint64_t kSlotsPerRow = 8;
 
     /** Home slot of a key (Fibonacci hashing: top bits of the
      *  golden-ratio product). */

@@ -35,13 +35,4 @@ buildShardInputs(const ModelSpec &model,
     return inputs;
 }
 
-double
-embCostAtPct(const EmbShardInput &emb, const EmbCostModel &cost,
-             double pct, std::uint32_t batch)
-{
-    // Constraint 11 (per-EMB forward-pass cost) weighted by
-    // Constraint 12's coverage factor.
-    return emb.coverage * cost.twoTierCost(emb.stepBytes(batch), pct);
-}
-
 } // namespace recshard

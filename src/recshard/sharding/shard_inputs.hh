@@ -78,14 +78,6 @@ buildShardInputs(const ModelSpec &model,
                  const std::vector<EmbProfile> &profiles,
                  unsigned steps, AblationSwitches ablation = {});
 
-/**
- * The coverage-weighted per-iteration cost of EMB j when `pct` of
- * its accesses come from HBM — the MILP's Constraints 11 and 12
- * folded together.
- */
-double embCostAtPct(const EmbShardInput &emb, const EmbCostModel &cost,
-                    double pct, std::uint32_t batch);
-
 } // namespace recshard
 
 #endif // RECSHARD_SHARDING_SHARD_INPUTS_HH

@@ -304,11 +304,14 @@ class SpyAdmission final : public CacheAdmission
 
 constexpr std::uint32_t kDiffTables = 4;
 constexpr std::uint64_t kDiffHashSize = 1000;
+/** LruRowCache's slot-table sizing: slots per cached row, before
+ *  rounding up to a power of two (lru_cache.cc). */
+constexpr std::uint64_t kLruSlotsPerRow = 8;
 
-/** Zipf-ish rows over a few tables, plus uniform cold rows, some
- *  past the CDFs' hash size. */
+/** Zipf-ish rows over the first `head_rows` rows of a few tables,
+ *  plus uniform cold rows, some past the CDFs' hash size. */
 std::vector<std::uint64_t>
-zipfishKeys(std::uint64_t seed, std::size_t n)
+zipfishKeys(std::uint64_t seed, std::size_t n, std::uint64_t head_rows)
 {
     Rng rng(seed);
     std::vector<std::uint64_t> keys;
@@ -319,7 +322,8 @@ zipfishKeys(std::uint64_t seed, std::size_t n)
         const double u = rng.nextDouble();
         const std::uint64_t row = rng.bernoulli(0.1)
             ? static_cast<std::uint64_t>(rng.uniformInt(0, 1200))
-            : static_cast<std::uint64_t>(u * u * u * u * 800.0);
+            : static_cast<std::uint64_t>(
+                  u * u * u * u * static_cast<double>(head_rows));
         keys.push_back(LruRowCache::rowKey(table, row));
     }
     return keys;
@@ -330,16 +334,16 @@ zipfishKeys(std::uint64_t seed, std::size_t n)
  * the last two slots or the first one, so probe chains grow long,
  * wrap around the table end, and every eviction runs backward-shift
  * deletion across them. Mirrors the cache's hash (Fibonacci hashing
- * into a power-of-two table of at least 2x capacity); if that hash
- * changes the stream is still a valid differential input, only a
- * less adversarial one.
+ * into a power-of-two table of at least kLruSlotsPerRow x capacity);
+ * if that hash or sizing changes the stream is still a valid
+ * differential input, only a less adversarial one.
  */
 std::vector<std::uint64_t>
 collidingKeys(std::uint64_t capacity, std::uint64_t seed,
               std::size_t n)
 {
     unsigned bits = 1;
-    while ((std::uint64_t{1} << bits) < 2 * capacity)
+    while ((std::uint64_t{1} << bits) < kLruSlotsPerRow * capacity)
         ++bits;
     const std::uint64_t slots = std::uint64_t{1} << bits;
     std::vector<std::uint64_t> pool;
@@ -388,9 +392,13 @@ TEST(LruRowCache, FlatCacheMatchesNodeBasedReference)
     for (const FrequencyCdf &cdf : cdfs)
         cdfPtrs.push_back(&cdf);
 
-    for (const std::uint64_t capacity : {1, 2, 3, 64, 500}) {
+    for (const std::uint64_t capacity :
+         {1, 2, 3, 64, 500, 1000, 4096}) {
+        // A cache larger than the stream's key set never evicts, so
+        // the Zipf head widens with the largest capacities.
         const std::vector<std::vector<std::uint64_t>> streams = {
-            zipfishKeys(capacity, 20000),
+            zipfishKeys(capacity, 20000,
+                        std::max<std::uint64_t>(800, capacity)),
             collidingKeys(capacity, capacity + 7, 20000)};
         for (const char *policy :
              {"", "always", "tinylfu", "cdf-gated"}) {

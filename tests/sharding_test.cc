@@ -191,9 +191,10 @@ bruteForceOptimum(const Workload &w, const SystemSpec &sys,
                     step[j]);
                 hbm[m] += mem;
                 uvm[m] += inputs[j].tableBytes - mem;
-                c[m] += embCostAtPct(
-                    inputs[j], cost,
-                    static_cast<double>(step[j]) / steps, batch);
+                c[m] += inputs[j].coverage *
+                    cost.twoTierCost(
+                        inputs[j].stepBytes(batch),
+                        static_cast<double>(step[j]) / steps);
                 ok = hbm[m] <= sys.hbm.capacityBytes &&
                     uvm[m] <= sys.uvm.capacityBytes;
             }
@@ -463,12 +464,6 @@ heapSplit(const std::vector<EmbShardInput> &inputs,
 {
     const double bw_hbm = cost_model.hbmBandwidth();
     const double bw_uvm = cost_model.uvmBandwidth();
-    const bool sum = cost_model.combine() == EmbCostModel::Combine::Sum;
-    auto cost = [&](double w_bytes, double true_pct) {
-        const double uvm = (1.0 - true_pct) * w_bytes / bw_uvm;
-        const double hbm = true_pct * w_bytes / bw_hbm;
-        return sum ? uvm + hbm : std::max(uvm, hbm);
-    };
     struct Curve
     {
         double wBytes = 0.0;
@@ -622,8 +617,9 @@ heapSplit(const std::vector<EmbShardInput> &inputs,
     out.feasible = true;
     for (std::uint32_t k = 0; k < members.size(); ++k) {
         const auto &in = inputs[members[k]];
-        out.cost += cost(curves[members[k]].wBytes,
-                         true_pct(in, out.step[k], out.tailTaken[k]));
+        out.cost += cost_model.twoTierCost(
+            curves[members[k]].wBytes,
+            true_pct(in, out.step[k], out.tailTaken[k]));
     }
     return out;
 }
