@@ -77,23 +77,53 @@ BM_FeatureBatchGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_FeatureBatchGeneration);
 
+/**
+ * FrequencyCdf construction, reported as ns per touched row. Arg 0 >
+ * 0 is that many rows with uniform counts in [1, 2^20]. Arg 0 = 0
+ * is profile-shaped: the pairs an EmbProfiler hands the constructor
+ * after 4096 Zipf samples of RM3's largest EMB at 1/32 (mostly 1s
+ * and 2s, row-ascending).
+ */
 void
 BM_FrequencyCdfBuild(benchmark::State &state)
 {
-    const std::uint64_t touched = state.range(0);
-    Rng rng(11);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-    for (std::uint64_t r = 0; r < touched; ++r)
-        counts.push_back({r, static_cast<std::uint64_t>(
-                                 rng.uniformInt(1, 1 << 20))});
+    std::uint64_t hash_size = 0;
+    if (state.range(0) > 0) {
+        const std::uint64_t touched = state.range(0);
+        hash_size = touched * 2;
+        Rng rng(11);
+        for (std::uint64_t r = 0; r < touched; ++r)
+            counts.push_back({r, static_cast<std::uint64_t>(
+                                     rng.uniformInt(1, 1 << 20))});
+    } else {
+        const ModelSpec model = makeRm3(1.0 / 32);
+        const SyntheticDataset data(model, 5);
+        std::uint32_t j = 0;
+        for (std::uint32_t f = 1; f < model.numFeatures(); ++f)
+            if (model.features[f].hashSize > model.features[j].hashSize)
+                j = f;
+        hash_size = model.features[j].hashSize;
+        EmbProfiler emb(hash_size);
+        emb.add(data.featureBatch(j, 4096, 1ULL << 40));
+        const FrequencyCdf cdf = emb.finish().cdf;
+        for (std::uint64_t k = 0; k < cdf.touchedRows(); ++k)
+            counts.push_back({cdf.rankedRows()[k], cdf.countAtRank(k)});
+        std::sort(counts.begin(), counts.end());
+    }
     for (auto _ : state) {
         auto copy = counts;
         benchmark::DoNotOptimize(
-            FrequencyCdf(touched * 2, std::move(copy)));
+            FrequencyCdf(hash_size, std::move(copy)));
     }
-    state.SetItemsProcessed(state.iterations() * touched);
+    state.SetItemsProcessed(state.iterations() * counts.size());
+    state.counters["rows"] = static_cast<double>(counts.size());
+    state.counters["per_row"] = benchmark::Counter(
+        static_cast<double>(counts.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_FrequencyCdfBuild)->Arg(1 << 12)->Arg(1 << 18);
+BENCHMARK(BM_FrequencyCdfBuild)->Arg(1 << 12)->Arg(1 << 18)->Arg(0);
 
 void
 BM_RemapApply(benchmark::State &state)

@@ -1,7 +1,9 @@
 #include "recshard/dist/frequency_cdf.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 
 #include "recshard/base/logging.hh"
 
@@ -15,29 +17,50 @@ FrequencyCdf::FrequencyCdf(
     fatal_if(counts.size() > hash_size,
              "profiled ", counts.size(),
              " touched rows exceed the hash size ", hash_size);
-    // Hottest first; equal counts break ties by row id so the
-    // ranking is deterministic regardless of input order.
-    std::sort(counts.begin(), counts.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second != b.second ? a.second > b.second
-                                              : a.first < b.first;
-              });
-    ranked.reserve(counts.size());
-    cumCounts.reserve(counts.size());
-    for (const auto &[row, count] : counts) {
+    // Row order first; the profiler already emits it.
+    const auto by_row = [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    };
+    if (!std::is_sorted(counts.begin(), counts.end(), by_row))
+        std::sort(counts.begin(), counts.end(), by_row);
+    // Hottest first, equal counts by row id: a stable LSD radix sort
+    // of indices into `counts` on the complemented count, 11 bits a
+    // pass and only as many passes as the largest count needs.
+    // `ranked` and `cumCounts` are its two index buffers.
+    std::uint64_t count_bits = 0;
+    for (const auto &rc : counts)
+        count_bits |= rc.second;
+    ranked.resize(counts.size());
+    cumCounts.resize(counts.size());
+    std::iota(ranked.begin(), ranked.end(), std::uint64_t{0});
+    for (unsigned shift = 0; shift < 64 && count_bits >> shift; shift += 11) {
+        const auto digit = [&](std::uint64_t i) {
+            return (~counts[i].second >> shift) & 2047;
+        };
+        std::array<std::size_t, 2048> start{};
+        for (const std::uint64_t i : ranked)
+            ++start[digit(i)];
+        std::exclusive_scan(start.begin(), start.end(), start.begin(),
+                            std::size_t{0});
+        for (const std::uint64_t i : ranked)
+            cumCounts[start[digit(i)]++] = i;
+        ranked.swap(cumCounts);
+    }
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+        const auto &[row, count] = counts[ranked[k]];
         fatal_if(row >= hash_size, "profiled row ", row,
                  " outside hash size ", hash_size);
         fatal_if(count == 0, "profiled row ", row,
                  " has a zero access count");
-        ranked.push_back(row);
+        ranked[k] = row;
         total += count;
-        cumCounts.push_back(total);
+        cumCounts[k] = total;
         singletons += count == 1;
     }
-    std::vector<std::uint64_t> by_id = ranked;
-    std::sort(by_id.begin(), by_id.end());
-    const auto dup = std::adjacent_find(by_id.begin(), by_id.end());
-    fatal_if(dup != by_id.end(), "profiled row ", *dup,
+    const auto dup = std::adjacent_find(
+        counts.begin(), counts.end(),
+        [](const auto &a, const auto &b) { return a.first == b.first; });
+    fatal_if(dup != counts.end(), "profiled row ", dup->first,
              " appears twice");
 }
 

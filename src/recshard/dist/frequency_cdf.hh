@@ -35,8 +35,12 @@ class FrequencyCdf
      * Build from profiled access counts.
      *
      * @param hash_size Total rows of the EMB (post-hash space).
-     * @param counts    (row, count) pairs for every touched row;
-     *                  rows must be unique, counts positive.
+     * @param counts    (row, count) pairs for every touched row, in
+     *                  any order; rows must be unique, counts
+     *                  positive. Row-ascending input (the
+     *                  profiler's) ranks in O(n); other input is
+     *                  first sorted by row. Equal counts rank by
+     *                  ascending row id.
      */
     FrequencyCdf(std::uint64_t hash_size,
                  std::vector<std::pair<std::uint64_t,

@@ -47,7 +47,7 @@ EmbProfiler::finish()
         std::vector<std::uint32_t>().swap(dense);
     } else {
         counts.reserve(sparse.size());
-        // lint:allow(no-unordered-iteration): FrequencyCdf ctor sorts by (count, row)
+        // lint:allow(no-unordered-iteration): FrequencyCdf ctor sorts by row, then ranks
         for (const auto &[row, count] : sparse)
             counts.emplace_back(row, count);
         std::unordered_map<std::uint64_t, std::uint64_t>().swap(sparse);

@@ -82,7 +82,8 @@ class EmbProfiler
  * dataset in batches of `batch_size`, using a batch-index region
  * disjoint from training replay. EMBs are profiled in parallel
  * (base/parallel.hh), each by one work item from counter to CDF; the
- * result equals a serial profile.
+ * result equals a serial profile. A dense counter is scanned into
+ * row-ascending pairs, which the FrequencyCdf ranks in linear time.
  */
 std::vector<EmbProfile> profileDataset(const SyntheticDataset &data,
                                        std::uint64_t num_samples,

@@ -176,11 +176,13 @@ RowFrequencySketch::toCdf() const
         return FrequencyCdf(hashSize, {});
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>> counts(
-        // lint:allow(no-unordered-iteration): sorted by hotterFirst total order below
+        // lint:allow(no-unordered-iteration): top-K by hotterFirst total order; FrequencyCdf ranks
         candidates.begin(), candidates.end());
-    std::sort(counts.begin(), counts.end(), hotterFirst);
-    if (counts.size() > cfg.topK)
+    if (counts.size() > cfg.topK) {
+        std::nth_element(counts.begin(), counts.begin() + cfg.topK - 1,
+                         counts.end(), hotterFirst);
         counts.resize(cfg.topK);
+    }
 
     std::uint64_t head = 0;
     for (const auto &[row, count] : counts)

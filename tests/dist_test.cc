@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <tuple>
@@ -328,6 +329,93 @@ TEST(FrequencyCdf, InverseConsistencyProperties)
     }
 }
 
+/**
+ * The comparison-sort ranking FrequencyCdf's constructor used before
+ * its radix sort: sort by (count desc, row asc), then accumulate.
+ * Kept as the oracle for the differential test below.
+ */
+struct ReferenceRanking
+{
+    std::vector<std::uint64_t> ranked;
+    std::vector<std::uint64_t> countAt;
+    std::uint64_t total = 0;
+    std::uint64_t singletons = 0;
+
+    explicit ReferenceRanking(
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> counts)
+    {
+        std::sort(counts.begin(), counts.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.second != b.second ? a.second > b.second
+                                                  : a.first < b.first;
+                  });
+        for (const auto &[row, count] : counts) {
+            ranked.push_back(row);
+            countAt.push_back(count);
+            total += count;
+            singletons += count == 1;
+        }
+    }
+};
+
+TEST(FrequencyCdf, RadixRankingMatchesComparisonSortReference)
+{
+    // Count shapes by their top count: heavy ties (3); one and two
+    // radix passes (2^11 - 1, 2^21); three (2^30) and five (2^50)
+    // passes; and 0 = mostly 1s and 2s with rare counts near 2^50, so
+    // ties survive every pass. Input orders: row-ascending (the
+    // profiler's), shuffled, and hotter-first (the sketch's). Sizes
+    // include empty and single-row input.
+    enum Order { kRowAscending, kShuffled, kHotterFirst };
+    Rng rng(250);
+    for (const std::int64_t high :
+         {3LL, (1LL << 11) - 1, 1LL << 21, 1LL << 30, 1LL << 50, 0LL}) {
+        for (const Order order :
+             {kRowAscending, kShuffled, kHotterFirst}) {
+            for (const std::int64_t touched :
+                 {0LL, 1LL, static_cast<long long>(rng.uniformInt(2, 64)),
+                  static_cast<long long>(rng.uniformInt(500, 4000))}) {
+                std::vector<std::pair<std::uint64_t, std::uint64_t>>
+                    counts;
+                std::uint64_t row = rng.uniformInt(0, 3);
+                for (std::int64_t i = 0; i < touched; ++i) {
+                    const std::int64_t top = high ? high
+                        : rng.bernoulli(0.97)     ? 2
+                                                  : 1LL << 50;
+                    counts.push_back(
+                        {row, static_cast<std::uint64_t>(
+                                  rng.uniformInt(1, top))});
+                    row += rng.uniformInt(1, 4);
+                }
+                // Make the top count need the shape's last pass.
+                if (high && touched > 0)
+                    counts[touched / 2].second =
+                        static_cast<std::uint64_t>(high);
+                const ReferenceRanking ref(counts);
+                if (order == kShuffled) {
+                    for (std::size_t i = counts.size(); i > 1; --i)
+                        std::swap(counts[i - 1],
+                                  counts[rng.uniformInt(0, i - 1)]);
+                } else if (order == kHotterFirst) {
+                    for (std::size_t k = 0; k < counts.size(); ++k)
+                        counts[k] = {ref.ranked[k], ref.countAt[k]};
+                }
+
+                const FrequencyCdf cdf(row + 1, counts);
+                SCOPED_TRACE(::testing::Message()
+                             << "high " << high << " order " << order
+                             << " touched " << touched);
+                ASSERT_EQ(cdf.rankedRows(), ref.ranked);
+                for (std::size_t k = 0; k < ref.countAt.size(); ++k)
+                    ASSERT_EQ(cdf.countAtRank(k), ref.countAt[k]);
+                EXPECT_EQ(cdf.totalAccesses(), ref.total);
+                EXPECT_EQ(cdf.singletonRows(), ref.singletons);
+                EXPECT_EQ(cdf.touchedRows(), ref.ranked.size());
+            }
+        }
+    }
+}
+
 TEST(FrequencyCdf, EmptyCdfBehaves)
 {
     FrequencyCdf cdf;
@@ -356,6 +444,15 @@ TEST(FrequencyCdf, RejectsZeroCount)
     EXPECT_EXIT(FrequencyCdf(10, {{4, 2}, {6, 0}}),
                 ::testing::ExitedWithCode(1),
                 "profiled row 6 has a zero access count");
+}
+
+TEST(FrequencyCdf, ZeroCountIsReportedBeforeDuplicateRow)
+{
+    // Row 5 twice and row 3 with a zero count: the range and
+    // zero-count checks run before the duplicate check.
+    EXPECT_EXIT(FrequencyCdf(10, {{3, 0}, {5, 2}, {5, 4}}),
+                ::testing::ExitedWithCode(1),
+                "profiled row 3 has a zero access count");
 }
 
 TEST(FrequencyCdf, RejectsRowAtOrPastHashSize)
