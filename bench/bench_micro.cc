@@ -253,23 +253,40 @@ BM_SimplexSolve(benchmark::State &state)
 }
 BENCHMARK(BM_SimplexSolve)->Arg(16)->Arg(64);
 
+/**
+ * One recShardPlan solve. Arg 16 and 64 are tiny models on 4 GPUs;
+ * Arg 397 is shaped like perfbench train-rm: RM3 at 1/32 with a
+ * 4096-sample profile of the planning seed (106) on 16 GPUs at
+ * batch 256. Every profile is built outside the timed loop.
+ */
 void
 BM_RecShardSolve(benchmark::State &state)
 {
     const auto features = static_cast<std::uint32_t>(state.range(0));
-    const ModelSpec model = makeTinyModel(features, 20000, 13);
-    SyntheticDataset data(model, 5);
-    const auto profiles = profileDataset(data, 8000, 4096);
-    SystemSpec sys = SystemSpec::paper(4, 1.0);
-    sys.hbm.capacityBytes = model.totalBytes() / 10;
-    sys.uvm.capacityBytes = model.totalBytes();
+    ModelSpec model;
+    std::vector<EmbProfile> profiles;
+    SystemSpec sys;
     RecShardOptions opts;
+    if (features == kRmNumFeatures) {
+        constexpr double kScale = 1.0 / 32;
+        model = makeRm3(kScale);
+        profiles = profileDataset(SyntheticDataset(model, 106), 4096);
+        sys = SystemSpec::paper(16, kScale);
+        opts.batchSize = 256;
+    } else {
+        model = makeTinyModel(features, 20000, 13);
+        profiles = profileDataset(SyntheticDataset(model, 5), 8000,
+                                  4096);
+        sys = SystemSpec::paper(4, 1.0);
+        sys.hbm.capacityBytes = model.totalBytes() / 10;
+        sys.uvm.capacityBytes = model.totalBytes();
+    }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             recShardPlan(model, profiles, sys, opts));
     }
 }
-BENCHMARK(BM_RecShardSolve)->Arg(16)->Arg(64)
+BENCHMARK(BM_RecShardSolve)->Arg(16)->Arg(64)->Arg(397)
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -9,14 +9,24 @@
 
 namespace recshard {
 
-void
-parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
+std::size_t
+parallelWorkers(std::size_t n)
 {
     const std::size_t hw = std::thread::hardware_concurrency();
-    const std::size_t workers = std::max<std::size_t>(1, std::min(hw, n));
+    return std::max<std::size_t>(1, std::min(hw, n));
+}
+
+namespace {
+
+/** The team both parallelFor overloads run: call(worker, i). */
+template <class Call>
+void
+runTeam(std::size_t n, std::size_t min_team, const Call &call)
+{
+    const std::size_t workers = n < min_team ? 1 : parallelWorkers(n);
     if (workers == 1) {
         for (std::size_t i = 0; i < n; ++i)
-            fn(i);
+            call(0, i);
         return;
     }
 
@@ -27,7 +37,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
         try {
             for (std::size_t i = next.fetch_add(1); i < n;
                  i = next.fetch_add(1))
-                fn(i);
+                call(worker, i);
         } catch (...) {
             errors[worker] = std::current_exception();
             next.store(n); // hand out no further indices
@@ -49,6 +59,23 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
     for (const std::exception_ptr &e : errors)
         if (e)
             std::rethrow_exception(e);
+}
+
+} // namespace
+
+void
+parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
+            std::size_t min_team)
+{
+    runTeam(n, min_team, [&](std::size_t, std::size_t i) { fn(i); });
+}
+
+void
+parallelFor(std::size_t n,
+            const std::function<void(std::size_t, std::size_t)> &fn,
+            std::size_t min_team)
+{
+    runTeam(n, min_team, fn);
 }
 
 } // namespace recshard

@@ -120,16 +120,24 @@ FrequencyCdf::icdfSteps(unsigned steps) const
     fatal_if(steps == 0, "ICDF needs at least one step");
     std::vector<std::uint64_t> out;
     out.reserve(steps + 1);
-    // Single monotone sweep: the step fractions increase and
-    // rowsForFraction() is non-decreasing, so the minimal k for
-    // step i is never below the minimal k for step i-1. Advancing
-    // one cursor across cumCounts replaces the per-step binary
-    // search (O(S + n) instead of O(S log n)) while evaluating the
-    // exact same division comparison rowsForFraction() uses, so the
-    // output stays bit-identical.
+    // The step fractions increase and rowsForFraction() is
+    // non-decreasing, so step i's minimal k is never below step
+    // i-1's, and the search starts from the last answer. "Row k is
+    // still short", cumCounts[k-1] / total < fraction, is the
+    // division rowsForFraction() compares and is monotone in k: it
+    // holds up to the answer and fails from there. So gallop from
+    // the cursor (probe k, k+1, k+3, k+7, ...) until a probe fails
+    // or passes n, then bisect the last gap. A step costs O(log d)
+    // for the distance d its answer moves, so S steps over n rows
+    // cost O(S log(n/S)), and each answer is bit-identical to
+    // rowsForFraction()'s.
     out.push_back(0);
     std::uint64_t k = 1;
     const std::uint64_t n = cumCounts.size();
+    const auto short_of = [&](std::uint64_t r, double fraction) {
+        return static_cast<double>(cumCounts[r - 1]) /
+            static_cast<double>(total) < fraction;
+    };
     for (unsigned i = 1; i <= steps; ++i) {
         const double fraction =
             std::min(static_cast<double>(i) /
@@ -138,10 +146,21 @@ FrequencyCdf::icdfSteps(unsigned steps) const
             out.push_back(0);
             continue;
         }
-        while (k < n &&
-               static_cast<double>(cumCounts[k - 1]) /
-                       static_cast<double>(total) < fraction)
-            ++k;
+        // Invariant: every row below `k` is short; `hi` is n or a
+        // row that is not.
+        std::uint64_t hi = k, gap = 1;
+        while (hi < n && short_of(hi, fraction)) {
+            k = hi + 1;
+            hi = std::min(n, hi + gap);
+            gap *= 2;
+        }
+        while (k < hi) {
+            const std::uint64_t mid = k + (hi - k) / 2;
+            if (short_of(mid, fraction))
+                k = mid + 1;
+            else
+                hi = mid;
+        }
         out.push_back(k);
     }
     return out;

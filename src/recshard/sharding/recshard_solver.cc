@@ -1,10 +1,12 @@
 #include "recshard/sharding/recshard_solver.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <numeric>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 #include "recshard/sharding/split_walk.hh"
 
 namespace recshard {
@@ -13,6 +15,23 @@ namespace {
 
 /** Local-search rounds: each accepts at most one move or swap. */
 constexpr std::uint32_t kLocalSearchRounds = 400;
+
+/**
+ * Swap candidates from which one swap search prices on the
+ * parallelFor team. A candidate walks two GPUs' block lists, about a
+ * microsecond at 64 EMBs on 8 GPUs, so below this the team's start
+ * (base/parallel.hh) would cost more than it saves; a serving
+ * node's few EMBs never reach it.
+ */
+constexpr std::size_t kParallelMinSwaps = 256;
+
+/** Bottleneck member jj swapped with GPU h's member kk. */
+struct SwapCandidate
+{
+    std::uint32_t jj;
+    std::uint32_t h;
+    std::uint32_t kk;
+};
 
 using Priced = SplitWalker::Priced;
 constexpr std::uint32_t kNone = SplitWalker::kNone;
@@ -231,7 +250,12 @@ recShardPlan(const ModelSpec &model,
         }
 
         // Swaps: bottleneck's costliest members against other GPUs'
-        // members (tried only when no improving move exists).
+        // members (tried only when no improving move exists). The
+        // search stops at the first improving swap in (heavy member,
+        // h, kk) order, so until then every candidate is pruned
+        // against current_max alone and prices the same whichever
+        // finds it first. Large searches therefore price their
+        // candidates on the worker team and take the first hit.
         if (best_j < 0) {
             std::vector<std::uint32_t> heavy = members[g];
             std::sort(heavy.begin(), heavy.end(),
@@ -240,44 +264,58 @@ recShardPlan(const ModelSpec &model,
                       });
             if (heavy.size() > 8)
                 heavy.resize(8);
+            std::vector<double> others(M);
+            for (std::uint32_t h = 0; h < M; ++h)
+                others[h] = max_excluding(g, h);
+            std::vector<SwapCandidate> cands;
             for (const std::uint32_t j : heavy) {
                 const auto jj = static_cast<std::uint32_t>(
                     std::find(members[g].begin(), members[g].end(), j) -
                     members[g].begin());
-                for (std::uint32_t h = 0; h < M && best_j < 0; ++h) {
-                    if (h == g)
-                        continue;
-                    const double others = max_excluding(g, h);
-                    if (!improves(others, best_max))
+                for (std::uint32_t h = 0; h < M; ++h) {
+                    if (h == g || !improves(others[h], current_max))
                         continue;
                     for (std::uint32_t kk = 0; kk < members[h].size();
-                         ++kk) {
-                        const std::uint32_t k = members[h][kk];
-                        const Priced gs =
-                            walker.price(members[g], lists[g], jj, k,
-                                         cap_hbm, cap_uvm);
-                        if (!gs.feasible)
-                            continue;
-                        const double bound = std::max(others, gs.cost);
-                        if (!improves(bound, best_max))
-                            continue;
-                        const Priced hs =
-                            walker.price(members[h], lists[h], kk, j,
-                                         cap_hbm, cap_uvm);
-                        if (!hs.feasible)
-                            continue;
-                        const double cand = std::max(bound, hs.cost);
-                        if (improves(cand, best_max)) {
-                            best_max = cand;
-                            best_j = static_cast<int>(j);
-                            best_h = static_cast<int>(h);
-                            best_k = static_cast<int>(k);
-                            break;
-                        }
-                    }
+                         ++kk)
+                        cands.push_back({jj, h, kk});
                 }
-                if (best_j >= 0)
-                    break;
+            }
+            // A candidate past the first hit found so far cannot be
+            // the first hit, so workers skip it.
+            std::atomic<std::size_t> first_hit{cands.size()};
+            std::vector<SplitWalker::Scratch> scratch(
+                parallelWorkers(cands.size()));
+            const auto try_swap = [&](std::size_t w, std::size_t i) {
+                if (i > first_hit.load())
+                    return;
+                const SwapCandidate &c = cands[i];
+                const Priced gs = walker.price(
+                    scratch[w], members[g], lists[g], c.jj,
+                    members[c.h][c.kk], cap_hbm, cap_uvm);
+                if (!gs.feasible)
+                    return;
+                const double bound = std::max(others[c.h], gs.cost);
+                if (!improves(bound, current_max))
+                    return;
+                const Priced hs = walker.price(
+                    scratch[w], members[c.h], lists[c.h], c.kk,
+                    members[g][c.jj], cap_hbm, cap_uvm);
+                if (!hs.feasible)
+                    return;
+                if (!improves(std::max(bound, hs.cost), current_max))
+                    return;
+                std::size_t seen = first_hit.load();
+                while (i < seen &&
+                       !first_hit.compare_exchange_weak(seen, i)) {
+                }
+            };
+            parallelFor(cands.size(), try_swap, kParallelMinSwaps);
+            const std::size_t hit = first_hit.load();
+            if (hit < cands.size()) {
+                const SwapCandidate &c = cands[hit];
+                best_j = static_cast<int>(members[g][c.jj]);
+                best_h = static_cast<int>(c.h);
+                best_k = static_cast<int>(members[c.h][c.kk]);
             }
         }
 

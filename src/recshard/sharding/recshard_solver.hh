@@ -25,9 +25,14 @@
  *     list that skips the departing EMB and merges the arriving
  *     one's blocks in last; a receiver is not priced at all when the
  *     other GPUs or the donor's new cost already rule the candidate
- *     out. An accepted step re-sorts only the two GPUs it touches.
+ *     out. An accepted step re-merges only the two GPUs' lists.
  *     The test suite checks this lands within a small gap of the
  *     exact MILP optimum on randomized instances.
+ *
+ * Large solves run the per-EMB input and increment builds and the
+ * swap search on the parallelFor team (base/parallel.hh); each
+ * prices exactly what the serial solve prices and combines it in
+ * serial order, so the plan does not depend on the core count.
  */
 
 #ifndef RECSHARD_SHARDING_RECSHARD_SOLVER_HH

@@ -1,6 +1,9 @@
 #include "recshard/sharding/shard_inputs.hh"
 
+#include <algorithm>
+
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 
 namespace recshard {
 
@@ -14,7 +17,7 @@ buildShardInputs(const ModelSpec &model,
              " != feature count ", model.features.size());
     fatal_if(steps == 0, "ICDF needs at least one step");
     std::vector<EmbShardInput> inputs(model.features.size());
-    for (std::size_t j = 0; j < model.features.size(); ++j) {
+    const auto build = [&](std::size_t j) {
         const FeatureSpec &f = model.features[j];
         const EmbProfile &p = profiles[j];
         EmbShardInput &in = inputs[j];
@@ -31,7 +34,8 @@ buildShardInputs(const ModelSpec &model,
                 static_cast<double>(p.cdf.singletonRows()) /
                     static_cast<double>(p.cdf.totalAccesses()));
         }
-    }
+    };
+    parallelFor(inputs.size(), build, kParallelMinEmbs);
     return inputs;
 }
 

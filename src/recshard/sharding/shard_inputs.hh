@@ -9,6 +9,7 @@
 #ifndef RECSHARD_SHARDING_SHARD_INPUTS_HH
 #define RECSHARD_SHARDING_SHARD_INPUTS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,7 +67,17 @@ struct EmbShardInput
 };
 
 /**
- * Build solver inputs for every EMB.
+ * EMB count from which the per-EMB solver phases (buildShardInputs
+ * and the SplitWalker's increments) run on the parallelFor team.
+ * Smaller universes, such as a serving node's few EMBs, stay on the
+ * caller's thread, where they finish before a team would start.
+ */
+constexpr std::size_t kParallelMinEmbs = 64;
+
+/**
+ * Build solver inputs for every EMB. Each EMB's input is its own
+ * item; from kParallelMinEmbs EMBs the items run on the parallelFor
+ * team, with the same result.
  *
  * @param model    Model being sharded.
  * @param profiles Per-EMB training-data profiles.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "recshard/base/parallel.hh"
+
 namespace recshard {
 
 namespace {
@@ -28,9 +30,13 @@ walksBefore(const Block &a, const Block &b)
     return a.begin < b.begin;
 }
 
+/** Cut one increment sequence into blocks; `rows` is empty for
+ *  steps. */
 void
-appendBlocks(const std::vector<double> &ratio, bool is_tail,
-             std::uint32_t emb, std::vector<Block> &out)
+appendBlocks(const std::vector<double> &ratio,
+             const std::vector<std::uint64_t> &bytes,
+             const std::vector<std::uint64_t> &rows, std::uint32_t emb,
+             std::vector<Block> &out)
 {
     const auto n = static_cast<std::uint32_t>(ratio.size());
     for (std::uint32_t i = 0; i < n;) {
@@ -38,9 +44,12 @@ appendBlocks(const std::vector<double> &ratio, bool is_tail,
         b.ratio = ratio[i];
         b.emb = emb;
         b.begin = i;
-        b.isTail = is_tail;
-        for (++i; i < n && ratio[i] > b.ratio; ++i) {
-        }
+        b.isTail = !rows.empty();
+        do {
+            b.bytes += bytes[i];
+            if (b.isTail)
+                b.tailRows += rows[i];
+        } while (++i < n && ratio[i] > b.ratio);
         b.end = i;
         out.push_back(b);
     }
@@ -58,9 +67,9 @@ SplitWalker::SplitWalker(const std::vector<EmbShardInput> &inputs,
     // profile observed; the Good-Turing missing mass M is carried by
     // the unprofiled tail rows, uniformly. Moving profiled step i or
     // tail rows into HBM each converts its share of traffic from
-    // UVM- to HBM-bandwidth service.
-    std::vector<double> step_ratio, tail_ratio;
-    for (std::uint32_t j = 0; j < inputs.size(); ++j) {
+    // UVM- to HBM-bandwidth service. Each EMB's increments are its
+    // own, so large universes cut them on the worker team.
+    const auto cut = [&](std::size_t j) {
         const EmbShardInput &in = inputs[j];
         Increments &inc = incs_[j];
         wBytes_[j] = in.coverage * in.avgPool *
@@ -76,7 +85,7 @@ SplitWalker::SplitWalker(const std::vector<EmbShardInput> &inputs,
             : gain_unit * in.missingMass /
                 static_cast<double>(in.tailRows);
 
-        step_ratio.clear();
+        std::vector<double> step_ratio, tail_ratio;
         for (unsigned s = 1; s <= in.numSteps(); ++s) {
             const std::uint64_t delta =
                 (in.icdfRows[s] - in.icdfRows[s - 1]) * in.rowBytes;
@@ -85,7 +94,6 @@ SplitWalker::SplitWalker(const std::vector<EmbShardInput> &inputs,
         }
         // The tail is offered in chunks of an eighth so it
         // interleaves with other members fairly.
-        tail_ratio.clear();
         const std::uint64_t chunk_rows =
             std::max<std::uint64_t>(1, in.tailRows / 8);
         for (std::uint64_t taken = 0; taken < in.tailRows;) {
@@ -98,23 +106,48 @@ SplitWalker::SplitWalker(const std::vector<EmbShardInput> &inputs,
                 tail_gain_per_row * static_cast<double>(chunk), bytes));
             taken += chunk;
         }
-        appendBlocks(step_ratio, false, j, inc.blocks);
-        appendBlocks(tail_ratio, true, j, inc.blocks);
+        const auto emb = static_cast<std::uint32_t>(j);
+        appendBlocks(step_ratio, inc.stepBytes, {}, emb, inc.blocks);
+        appendBlocks(tail_ratio, inc.tailBytes, inc.tailRows, emb,
+                     inc.blocks);
         std::sort(inc.blocks.begin(), inc.blocks.end(), walksBefore);
-    }
+    };
+    parallelFor(inputs.size(), cut, kParallelMinEmbs);
 }
 
 std::vector<Block>
 SplitWalker::walkList(const std::vector<std::uint32_t> &members) const
 {
+    // Each member's blocks are already in walk order and walksBefore
+    // is a strict total order within one list (positions differ
+    // across members), so merging the runs pairwise yields exactly
+    // the sorted concatenation.
     std::vector<Block> list;
+    std::vector<std::size_t> bounds = {0};
     for (std::uint32_t k = 0; k < members.size(); ++k) {
         for (Block b : incs_[members[k]].blocks) {
             b.pos = k;
             list.push_back(b);
         }
+        bounds.push_back(list.size());
     }
-    std::sort(list.begin(), list.end(), walksBefore);
+    std::vector<Block> merged(list.size());
+    std::vector<std::size_t> next;
+    while (bounds.size() > 2) {
+        next.assign(1, 0);
+        for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+            const auto lo = static_cast<std::ptrdiff_t>(bounds[r]);
+            const auto mid = static_cast<std::ptrdiff_t>(bounds[r + 1]);
+            const auto hi = static_cast<std::ptrdiff_t>(
+                r + 2 < bounds.size() ? bounds[r + 2] : bounds[r + 1]);
+            std::merge(list.begin() + lo, list.begin() + mid,
+                       list.begin() + mid, list.begin() + hi,
+                       merged.begin() + lo, walksBefore);
+            next.push_back(static_cast<std::size_t>(hi));
+        }
+        list.swap(merged);
+        bounds.swap(next);
+    }
     return list;
 }
 
@@ -135,32 +168,40 @@ SplitWalker::embCost(std::uint32_t j, unsigned step,
 }
 
 SplitWalker::Priced
-SplitWalker::price(const std::vector<std::uint32_t> &members,
+SplitWalker::price(Scratch &s, const std::vector<std::uint32_t> &members,
                    const std::vector<Block> &list, std::uint32_t skip,
                    std::uint32_t arrive, std::uint64_t cap_hbm,
-                   std::uint64_t cap_uvm)
+                   std::uint64_t cap_uvm) const
 {
     const auto n = static_cast<std::uint32_t>(members.size());
-    slots_.clear();
-    emb_.assign(members.begin(), members.end());
-    emb_.push_back(arrive);
+    s.slots.clear();
+    s.emb.assign(members.begin(), members.end());
+    s.emb.push_back(arrive);
     for (std::uint32_t k = 0; k < n; ++k)
         if (k != skip)
-            slots_.push_back(k);
+            s.slots.push_back(k);
     if (arrive != kNone)
-        slots_.push_back(n);
-    step_.assign(n + 1, 0);
-    tailTaken_.assign(n + 1, 0);
-    hbmRows_.assign(n + 1, 0);
-    stepDone_.assign(n + 1, 0);
-    tailDone_.assign(n + 1, 0);
+        s.slots.push_back(n);
+    s.step.assign(n + 1, 0);
+    s.tailTaken.assign(n + 1, 0);
+    s.hbmRows.assign(n + 1, 0);
+    s.stepDone.assign(n + 1, 0);
+    s.tailDone.assign(n + 1, 0);
 
     std::uint64_t budget = cap_hbm;
     auto take = [&](const Block &b, std::uint32_t slot) {
         std::uint8_t &done =
-            b.isTail ? tailDone_[slot] : stepDone_[slot];
+            b.isTail ? s.tailDone[slot] : s.stepDone[slot];
         if (done)
             return;
+        if (b.bytes <= budget) { // whole block, so every prefix, fits
+            budget -= b.bytes;
+            if (b.isTail)
+                s.tailTaken[slot] += b.tailRows;
+            else
+                s.step[slot] = b.end;
+            return;
+        }
         const Increments &inc = incs_[b.emb];
         for (std::uint32_t i = b.begin; i < b.end; ++i) {
             const std::uint64_t bytes =
@@ -171,9 +212,9 @@ SplitWalker::price(const std::vector<std::uint32_t> &members,
             }
             budget -= bytes;
             if (b.isTail)
-                tailTaken_[slot] += inc.tailRows[i];
+                s.tailTaken[slot] += inc.tailRows[i];
             else
-                step_[slot] = i + 1;
+                s.step[slot] = i + 1;
         }
     };
     const std::vector<Block> *arriving =
@@ -193,39 +234,39 @@ SplitWalker::price(const std::vector<std::uint32_t> &members,
         take((*arriving)[next], n);
 
     std::uint64_t uvm_bytes = 0;
-    for (const std::uint32_t slot : slots_) {
-        const EmbShardInput &in = inputs_[emb_[slot]];
-        hbmRows_[slot] = in.icdfRows[step_[slot]] + tailTaken_[slot];
-        uvm_bytes += in.tableBytes - hbmRows_[slot] * in.rowBytes;
+    for (const std::uint32_t slot : s.slots) {
+        const EmbShardInput &in = inputs_[s.emb[slot]];
+        s.hbmRows[slot] = in.icdfRows[s.step[slot]] + s.tailTaken[slot];
+        uvm_bytes += in.tableBytes - s.hbmRows[slot] * in.rowBytes;
     }
 
     // Forced spill: if the UVM budget still overflows, move
     // whatever rows remain into leftover HBM, largest tails first.
     if (uvm_bytes > cap_uvm) {
         std::uint64_t need = uvm_bytes - cap_uvm;
-        spill_ = slots_;
-        std::sort(spill_.begin(), spill_.end(),
+        s.spill = s.slots;
+        std::sort(s.spill.begin(), s.spill.end(),
                   [&](std::uint32_t a, std::uint32_t b) {
                       const auto ta =
-                          inputs_[emb_[a]].hashSize - hbmRows_[a];
+                          inputs_[s.emb[a]].hashSize - s.hbmRows[a];
                       const auto tb =
-                          inputs_[emb_[b]].hashSize - hbmRows_[b];
+                          inputs_[s.emb[b]].hashSize - s.hbmRows[b];
                       if (ta != tb)
                           return ta > tb;
                       return a < b;
                   });
-        for (const std::uint32_t slot : spill_) {
+        for (const std::uint32_t slot : s.spill) {
             if (need == 0)
                 break;
-            const EmbShardInput &in = inputs_[emb_[slot]];
+            const EmbShardInput &in = inputs_[s.emb[slot]];
             const std::uint64_t movable_rows =
-                std::min(in.hashSize - hbmRows_[slot],
+                std::min(in.hashSize - s.hbmRows[slot],
                          budget / in.rowBytes);
             const std::uint64_t moved = std::min(
                 movable_rows, (need + in.rowBytes - 1) / in.rowBytes);
-            hbmRows_[slot] += moved;
-            tailTaken_[slot] +=
-                std::min(moved, in.tailRows - tailTaken_[slot]);
+            s.hbmRows[slot] += moved;
+            s.tailTaken[slot] +=
+                std::min(moved, in.tailRows - s.tailTaken[slot]);
             budget -= moved * in.rowBytes;
             need -= std::min(need, moved * in.rowBytes);
         }
@@ -235,8 +276,8 @@ SplitWalker::price(const std::vector<std::uint32_t> &members,
 
     Priced out;
     out.feasible = true;
-    for (const std::uint32_t slot : slots_)
-        out.cost += embCost(emb_[slot], step_[slot], tailTaken_[slot]);
+    for (const std::uint32_t slot : s.slots)
+        out.cost += embCost(s.emb[slot], s.step[slot], s.tailTaken[slot]);
     return out;
 }
 
@@ -250,10 +291,10 @@ SplitWalker::split(const std::vector<std::uint32_t> &members,
     GpuBudgetSplit out;
     out.feasible = p.feasible;
     out.cost = p.cost;
-    for (const std::uint32_t slot : slots_) {
-        out.step.push_back(step_[slot]);
-        out.hbmRows.push_back(hbmRows_[slot]);
-        out.tailTaken.push_back(tailTaken_[slot]);
+    for (const std::uint32_t slot : scratch_.slots) {
+        out.step.push_back(scratch_.step[slot]);
+        out.hbmRows.push_back(scratch_.hbmRows[slot]);
+        out.tailTaken.push_back(scratch_.tailTaken[slot]);
     }
     return out;
 }

@@ -362,4 +362,41 @@ TEST(Parallel, RethrowsAWorkerException)
     EXPECT_GE(calls.load(), 18u);
 }
 
+TEST(Parallel, WorkerSlotsAreExclusive)
+{
+    const std::size_t n = 5000;
+    const std::size_t workers = parallelWorkers(n);
+    // Each slot's counter is entered and left by one thread at a
+    // time; an overlap would see it busy.
+    std::vector<std::atomic<int>> busy(workers);
+    std::vector<std::atomic<int>> visits(n);
+    std::atomic<bool> overlap{false};
+    parallelFor(n, [&](std::size_t w, std::size_t i) {
+        ASSERT_LT(w, workers);
+        if (busy[w].fetch_add(1) != 0)
+            overlap = true;
+        visits[i].fetch_add(1);
+        busy[w].fetch_sub(1);
+    });
+    EXPECT_FALSE(overlap.load());
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+}
+
+TEST(Parallel, RunsInlineBelowTheMinimumTeamSize)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t calls = 0;
+    parallelFor(
+        100,
+        [&](std::size_t w, std::size_t i) {
+            EXPECT_EQ(w, 0u);
+            EXPECT_EQ(i, calls); // inline runs in index order
+            ++calls;
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+        },
+        101);
+    EXPECT_EQ(calls, 100u);
+}
+
 } // namespace

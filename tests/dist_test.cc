@@ -286,6 +286,80 @@ TEST(FrequencyCdf, IcdfStepsMatchPerStepInverseExactly)
     }
 }
 
+/**
+ * icdfSteps() as a linear sweep, the form it had before it galloped:
+ * one cursor advanced row by row across the prefix sums, with the
+ * same division and comparison. Kept as the reference the gallop
+ * must match.
+ */
+std::vector<std::uint64_t>
+linearIcdfSteps(const FrequencyCdf &cdf, unsigned steps)
+{
+    std::vector<std::uint64_t> cum_counts;
+    std::uint64_t sum = 0;
+    for (std::uint64_t r = 0; r < cdf.touchedRows(); ++r)
+        cum_counts.push_back(sum += cdf.countAtRank(r));
+    const std::uint64_t total = cdf.totalAccesses();
+    std::vector<std::uint64_t> out = {0};
+    std::uint64_t k = 1;
+    const std::uint64_t n = cum_counts.size();
+    for (unsigned i = 1; i <= steps; ++i) {
+        const double fraction =
+            std::min(static_cast<double>(i) /
+                         static_cast<double>(steps), 1.0);
+        if (total == 0 || fraction <= 0.0) {
+            out.push_back(0);
+            continue;
+        }
+        while (k < n &&
+               static_cast<double>(cum_counts[k - 1]) /
+                       static_cast<double>(total) < fraction)
+            ++k;
+        out.push_back(k);
+    }
+    return out;
+}
+
+TEST(FrequencyCdf, GallopingIcdfStepsMatchTheLinearSweep)
+{
+    Rng rng(77003);
+    std::vector<FrequencyCdf> cdfs = {
+        FrequencyCdf(),                  // nothing profiled
+        FrequencyCdf(100, {}),           // zero total, rows known
+        FrequencyCdf(100, {{42, 7}}),    // one row
+        FrequencyCdf(8, {{1, 1}, {5, 1}, {6, 1}}), // all tied
+    };
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto touched = static_cast<std::uint64_t>(
+            rng.uniformInt(1, trial < 20 ? 8 : 3000));
+        // Heavy ties: mostly counts of 1 and 2 (the profile shape),
+        // some from a tiny set, a few huge ones that jump many steps.
+        const int shape = trial % 3;
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
+        for (std::uint64_t r = 0; r < touched; ++r) {
+            std::int64_t c = 1;
+            if (shape == 0)
+                c = rng.bernoulli(0.8) ? 1 : 2;
+            else if (shape == 1)
+                c = rng.uniformInt(1, 4);
+            else
+                c = rng.bernoulli(0.02) ? rng.uniformInt(1000, 100000)
+                                        : rng.uniformInt(1, 3);
+            counts.push_back({r * 2, static_cast<std::uint64_t>(c)});
+        }
+        cdfs.emplace_back(touched * 2 + 1, counts);
+    }
+    for (std::size_t c = 0; c < cdfs.size(); ++c) {
+        // Steps from one to far more than any CDF's rows.
+        for (const unsigned steps : {1u, 2u, 3u, 7u, 100u, 101u, 1000u,
+                                     10007u}) {
+            ASSERT_EQ(cdfs[c].icdfSteps(steps),
+                      linearIcdfSteps(cdfs[c], steps))
+                << "cdf " << c << " steps " << steps;
+        }
+    }
+}
+
 TEST(FrequencyCdf, InverseConsistencyProperties)
 {
     // The CDF/ICDF pair must be a Galois connection on every input:

@@ -439,6 +439,59 @@ TEST(RecShardSolver, GoldenPlansArePinned)
     }
 }
 
+/**
+ * Golden pin of a solve large enough for the solver's worker-team
+ * phases (64 EMBs on 8 GPUs), recorded from the serial solver
+ * before any phase ran on the team. It accepts moves and swaps and,
+ * like every solve short of the round cap, ends on a swap search
+ * that finds nothing. Two solves in one process must agree.
+ */
+TEST(RecShardSolver, ParallelSizedGoldenPlanIsPinned)
+{
+    const GoldenSolve g = {
+        64, 3000, 3, 8, 8, 4, 100, 20, 10, 0x1.ddcfcb10ae18bp-18,
+        {{6, 394}, {2, 928}, {1, 2260}, {1, 40},
+         {4, 25}, {4, 1379}, {6, 773}, {5, 12766},
+         {6, 97}, {2, 2047}, {5, 16}, {1, 1004},
+         {0, 16}, {7, 83}, {5, 1557}, {0, 11441},
+         {6, 6980}, {5, 137}, {4, 152}, {7, 40},
+         {0, 446}, {3, 4970}, {2, 33}, {6, 26},
+         {1, 9174}, {0, 45}, {5, 119}, {3, 2462},
+         {7, 16}, {0, 8763}, {5, 56}, {7, 23733},
+         {1, 4984}, {1, 1805}, {0, 69}, {6, 11813},
+         {5, 537}, {1, 16}, {5, 181}, {0, 16},
+         {0, 240}, {0, 2807}, {2, 55}, {6, 39},
+         {1, 16}, {6, 16}, {5, 4494}, {3, 19},
+         {5, 408}, {3, 143}, {3, 2074}, {3, 114},
+         {4, 159}, {3, 13544}, {3, 465}, {4, 16},
+         {3, 16}, {4, 355}, {0, 58}, {4, 40},
+         {5, 16}, {4, 11942}, {4, 287}, {2, 20903}}};
+    const Workload w = makeWorkload(g.features, g.rows, g.seed, 8000);
+    SystemSpec sys = SystemSpec::paper(g.gpus, 1.0);
+    sys.hbm.capacityBytes = w.model.totalBytes() / g.hbmDiv;
+    sys.uvm.capacityBytes = w.model.totalBytes() / g.uvmDiv;
+    RecShardOptions opts;
+    opts.batchSize = 4096;
+    opts.icdfSteps = g.icdfSteps;
+    for (int run = 0; run < 2; ++run) {
+        SCOPED_TRACE(run);
+        RecShardStats stats;
+        const ShardingPlan plan = recShardPlan(w.model, w.profiles,
+                                               sys, opts, &stats);
+        EXPECT_EQ(stats.moves, g.moves);
+        EXPECT_EQ(stats.swaps, g.swaps);
+        std::uint64_t got_bits = 0, want_bits = 0;
+        std::memcpy(&got_bits, &stats.bottleneckCost, sizeof(double));
+        std::memcpy(&want_bits, &g.bottleneckCost, sizeof(double));
+        EXPECT_EQ(got_bits, want_bits) << stats.bottleneckCost;
+        ASSERT_EQ(plan.tables.size(), g.tables.size());
+        for (std::size_t j = 0; j < g.tables.size(); ++j) {
+            EXPECT_EQ(plan.tables[j].gpu, g.tables[j].first) << j;
+            EXPECT_EQ(plan.tables[j].hbmRows, g.tables[j].second) << j;
+        }
+    }
+}
+
 // ------------------------------------ per-GPU split vs heap oracle
 
 /** What the heap oracle saw, so the sweep can prove its coverage. */
@@ -833,6 +886,86 @@ TEST(RecShardSolver, SplitWalkMatchesHeapOracleBitForBit)
     EXPECT_GT(tail_only, 0);
     EXPECT_GT(spilled, 0);
     EXPECT_GT(infeasible, 0);
+}
+
+/**
+ * walkList() before it merged: the members' block runs concatenated
+ * and sorted by the walk order. Each run is the one-member list of
+ * its EMB. Kept as the reference the merge must match.
+ */
+std::vector<SplitWalker::Block>
+sortedWalkList(const SplitWalker &walker,
+               const std::vector<std::uint32_t> &members)
+{
+    std::vector<SplitWalker::Block> list;
+    for (std::uint32_t k = 0; k < members.size(); ++k) {
+        for (SplitWalker::Block b : walker.walkList({members[k]})) {
+            b.pos = k;
+            list.push_back(b);
+        }
+    }
+    std::sort(list.begin(), list.end(),
+              [](const SplitWalker::Block &a,
+                 const SplitWalker::Block &b) {
+                  if (a.ratio != b.ratio)
+                      return a.ratio > b.ratio;
+                  if (a.pos != b.pos)
+                      return a.pos < b.pos;
+                  if (a.isTail != b.isTail)
+                      return !a.isTail;
+                  return a.begin < b.begin;
+              });
+    return list;
+}
+
+TEST(RecShardSolver, MergedWalkListMatchesSortedConcatenation)
+{
+    Rng rng(2025);
+    const SystemSpec sys = SystemSpec::paper(1, 1.0);
+    const EmbCostModel model(sys);
+    int shared_ratio = 0;
+    for (int trial = 0; trial < 1500; ++trial) {
+        // Clones share every ratio exactly, so only the member
+        // position orders their blocks.
+        std::vector<EmbShardInput> inputs;
+        const auto pool = static_cast<std::uint32_t>(
+            rng.uniformInt(1, trial < 1000 ? 12 : 80));
+        for (std::uint32_t j = 0; j < pool; ++j) {
+            if (j > 0 && rng.bernoulli(0.4))
+                inputs.push_back(inputs[static_cast<std::size_t>(
+                    rng.uniformInt(0, j - 1))]);
+            else
+                inputs.push_back(randomSplitEmb(rng));
+        }
+        std::vector<std::uint32_t> members;
+        for (std::uint32_t j = 0; j < pool; ++j)
+            if (rng.bernoulli(0.8))
+                members.push_back(j);
+        for (std::size_t k = members.size(); k > 1; --k)
+            std::swap(members[k - 1],
+                      members[static_cast<std::size_t>(rng.uniformInt(
+                          0, static_cast<std::int64_t>(k) - 1))]);
+        const SplitWalker walker(inputs, model, 4096);
+        const auto got = walker.walkList(members);
+        const auto want = sortedWalkList(walker, members);
+        ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            std::uint64_t got_bits = 0, want_bits = 0;
+            std::memcpy(&got_bits, &got[i].ratio, sizeof(double));
+            std::memcpy(&want_bits, &want[i].ratio, sizeof(double));
+            ASSERT_EQ(got_bits, want_bits) << "trial " << trial << " " << i;
+            ASSERT_EQ(got[i].bytes, want[i].bytes);
+            ASSERT_EQ(got[i].tailRows, want[i].tailRows);
+            ASSERT_EQ(got[i].emb, want[i].emb);
+            ASSERT_EQ(got[i].pos, want[i].pos);
+            ASSERT_EQ(got[i].begin, want[i].begin);
+            ASSERT_EQ(got[i].end, want[i].end);
+            ASSERT_EQ(got[i].isTail, want[i].isTail);
+            shared_ratio += i > 0 && got[i].ratio == got[i - 1].ratio &&
+                got[i].pos != got[i - 1].pos;
+        }
+    }
+    EXPECT_GT(shared_ratio, 0); // members did tie on exact ratios
 }
 
 /**
