@@ -51,17 +51,21 @@ BM_FeatureHasher(benchmark::State &state)
 }
 BENCHMARK(BM_FeatureHasher);
 
+/** One Zipf draw; Args are the support and alpha in thousandths:
+ *  1.1 is head-heavy (most draws hit the guide table), 0.7 is
+ *  tail-heavy (most draws run rejection-inversion). */
 void
 BM_ZipfSample(benchmark::State &state)
 {
-    const ZipfSampler zipf(
-        static_cast<std::uint64_t>(state.range(0)), 1.1);
+    const ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)),
+                           static_cast<double>(state.range(1)) / 1000.0);
     Rng rng(7);
     for (auto _ : state) {
         benchmark::DoNotOptimize(zipf(rng));
     }
 }
-BENCHMARK(BM_ZipfSample)->Arg(1 << 16)->Arg(1 << 24)->Arg(1LL << 32);
+BENCHMARK(BM_ZipfSample)
+    ->ArgsProduct({{1 << 16, 1 << 24, 1LL << 32}, {1100, 700}});
 
 void
 BM_FeatureBatchGeneration(benchmark::State &state)
@@ -76,6 +80,28 @@ BM_FeatureBatchGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_FeatureBatchGeneration);
+
+/**
+ * The unit perfbench train-rm's replay draws per iteration: one
+ * 256-sample batch of every RM3-at-1/32 feature, timed per lookup.
+ */
+void
+BM_FeatureBatchRm3(benchmark::State &state)
+{
+    const SyntheticDataset data(makeRm3(1.0 / 32.0), 106);
+    std::uint64_t batch_idx = 0, lookups = 0;
+    for (auto _ : state) {
+        for (std::uint32_t j = 0; j < data.spec().numFeatures(); ++j) {
+            const FeatureBatch fb = data.featureBatch(j, 256, batch_idx);
+            lookups += fb.numLookups();
+            benchmark::DoNotOptimize(fb.indices.data());
+        }
+        benchmark::ClobberMemory();
+        ++batch_idx;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(lookups));
+}
+BENCHMARK(BM_FeatureBatchRm3)->Unit(benchmark::kMillisecond);
 
 /**
  * FrequencyCdf construction, reported as ns per touched row. Arg 0 >

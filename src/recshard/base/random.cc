@@ -15,16 +15,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed) : spare(0.0), hasSpare(false)
 {
     // SplitMix64 expansion guarantees a non-degenerate xoshiro state
@@ -32,28 +22,6 @@ Rng::Rng(std::uint64_t seed) : spare(0.0), hasSpare(false)
     std::uint64_t sm = seed;
     for (auto &word : s)
         word = splitMix64(sm);
-}
-
-std::uint64_t
-Rng::nextU64()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
 std::int64_t

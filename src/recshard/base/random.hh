@@ -34,10 +34,26 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t nextU64();
+    std::uint64_t nextU64()
+    {
+        const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1) with 53 bits of precision. */
-    double nextDouble();
+    double nextDouble()
+    {
+        return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in the inclusive range [lo, hi]. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
@@ -63,6 +79,11 @@ class Rng
     Rng fork(std::uint64_t stream_id) const;
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s[4];
     double spare;
     bool hasSpare;

@@ -1,11 +1,11 @@
 #include "recshard/datagen/dataset.hh"
 
 #include <cmath>
+#include <optional>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 #include "recshard/dist/sampling.hh"
-#include "recshard/dist/zipf.hh"
-#include "recshard/hashing/hashers.hh"
 
 namespace recshard {
 
@@ -44,6 +44,26 @@ SyntheticDataset::SyntheticDataset(ModelSpec spec_, std::uint64_t seed_)
     : model(std::move(spec_)), seed(seed_)
 {
     model.validate();
+    // A sampler tabulates its head as it is built, ~10 µs at RM
+    // shapes, so a full RM model builds its samplers on the worker
+    // team. The kept samplers are copies made on this thread: the
+    // workers' guide tables are freed before the constructor
+    // returns, so no long-lived block pins a worker's malloc arena
+    // (with the tables left there, perfbench train-rm read higher
+    // peak RSS and solve times).
+    constexpr std::size_t kParallelMinFeatures = 64;
+    std::vector<std::optional<ZipfSampler>> built(model.numFeatures());
+    parallelFor(built.size(), [&](std::size_t j) {
+        built[j].emplace(model.features[j].cardinality,
+                         model.features[j].alpha);
+    }, kParallelMinFeatures);
+    zipfs.reserve(built.size());
+    hashers.reserve(built.size());
+    for (std::size_t j = 0; j < built.size(); ++j) {
+        zipfs.push_back(*built[j]);
+        hashers.emplace_back(model.features[j].hashSize,
+                             model.features[j].hashSalt);
+    }
 }
 
 FeatureBatch
@@ -64,13 +84,14 @@ SyntheticDataset::featureBatch(std::uint32_t feature,
     const double drifted_pool = f.meanPool *
         driftV.multiplier(f.kind, monthV);
     const PoolingDist pooling(drifted_pool, f.poolSigma, f.maxPool);
-    const ZipfSampler zipf(f.cardinality, f.alpha);
-    const FeatureHasher hasher(f.hashSize, f.hashSalt);
+    const ZipfSampler &zipf = zipfs[feature];
+    const FeatureHasher &hasher = hashers[feature];
     // Popularity churn: rotate the raw value space so the hot ranks
-    // land on new values as months pass ((v + 0) % n == v, so zero
-    // churn is bit-identical to the historical stream).
-    const std::uint64_t shift =
-        driftV.valueShift(monthV, f.cardinality);
+    // land on new values as months pass. Value and shift are both
+    // below the cardinality, so one conditional subtract is the
+    // `% cardinality`, and zero churn is the historical stream.
+    const std::uint64_t card = f.cardinality;
+    const std::uint64_t shift = driftV.valueShift(monthV, card);
 
     FeatureBatch batch;
     batch.offsets.reserve(batch_size + 1);
@@ -80,9 +101,11 @@ SyntheticDataset::featureBatch(std::uint32_t feature,
     for (std::uint32_t s = 0; s < batch_size; ++s) {
         if (rng.bernoulli(f.coverage)) {
             const std::uint32_t pool = pooling(rng);
-            for (std::uint32_t k = 0; k < pool; ++k)
-                batch.indices.push_back(hasher(
-                    (zipf(rng) + shift) % f.cardinality));
+            for (std::uint32_t k = 0; k < pool; ++k) {
+                std::uint64_t v = zipf(rng) + shift;
+                v -= v >= card ? card : 0;
+                batch.indices.push_back(hasher(v));
+            }
         }
         batch.offsets.push_back(
             static_cast<std::uint32_t>(batch.indices.size()));

@@ -9,6 +9,9 @@
  * replay, and DLRM training can all re-derive identical data from a
  * single seed without materializing a dataset on disk — the paper's
  * equivalent is streaming samples from a production data store.
+ * Each feature's Zipf sampler and hasher are built once, with the
+ * dataset; featureBatch only reads them, so any number of threads
+ * may draw batches from one dataset at once.
  *
  * A drift model perturbs mean pooling factors over synthetic months
  * to reproduce the time-varying memory demand of Section 3.5
@@ -23,6 +26,8 @@
 
 #include "recshard/base/random.hh"
 #include "recshard/datagen/feature_spec.hh"
+#include "recshard/dist/zipf.hh"
+#include "recshard/hashing/hashers.hh"
 
 namespace recshard {
 
@@ -140,6 +145,10 @@ class SyntheticDataset
     std::uint64_t seed;
     std::uint32_t monthV = 0;
     DriftModel driftV;
+    // Per-feature samplers, built once: neither depends on the
+    // month or the drift, and drawing from them is const.
+    std::vector<ZipfSampler> zipfs;
+    std::vector<FeatureHasher> hashers;
 };
 
 } // namespace recshard

@@ -4,44 +4,13 @@
 
 namespace recshard {
 
-std::uint64_t
-mixSplitMix64(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
-std::uint64_t
-mixMurmur3(std::uint64_t x)
-{
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return x;
-}
-
 FeatureHasher::FeatureHasher(std::uint64_t hash_size,
                              std::uint64_t salt, HashKind kind_)
-    : size(hash_size), saltV(salt), kind(kind_)
+    : size(hash_size), saltV(salt), kind(kind_),
+      mixedSalt(salt * 0x9e3779b97f4a7c15ULL + 0x6a09e667f3bcc909ULL)
 {
     fatal_if(size == 0, "hash size must be >= 1");
-}
-
-std::uint64_t
-FeatureHasher::operator()(std::uint64_t raw_value) const
-{
-    const std::uint64_t mixed_salt =
-        saltV * 0x9e3779b97f4a7c15ULL + 0x6a09e667f3bcc909ULL;
-    const std::uint64_t mixed = kind == HashKind::SplitMix64
-        ? mixSplitMix64(raw_value ^ mixed_salt)
-        : mixMurmur3(raw_value ^ mixed_salt);
-    return mixed % size;
+    magic = ~static_cast<unsigned __int128>(0) / size + 1;
 }
 
 } // namespace recshard

@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "recshard/base/parallel.hh"
 #include "recshard/base/stats.hh"
 #include "recshard/datagen/dataset.hh"
 #include "recshard/datagen/model_zoo.hh"
@@ -187,6 +188,92 @@ TEST(Dataset, SkewedFeatureConcentratesAccesses)
     }
     // Top 1% of rows should hold a large share of accesses.
     EXPECT_GT(static_cast<double>(head) / total, 0.5);
+}
+
+/** Order-sensitive fold of a batch's offsets and indices. */
+std::uint64_t
+foldBatch(std::uint64_t h, const FeatureBatch &fb)
+{
+    const auto step = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x100000001b3ULL;
+        h ^= h >> 29;
+    };
+    for (const auto o : fb.offsets)
+        step(o);
+    for (const auto idx : fb.indices)
+        step(idx);
+    return h;
+}
+
+// The exact bytes featureBatch emits. Profiles, plans, goldens and
+// every virtual metric derive from this stream, so a faster sampler
+// or hasher must reproduce it bit for bit; these checksums were
+// recorded from the rejection-inversion sampler with a `%` hasher.
+TEST(Dataset, StreamIsPinned)
+{
+    // 16 batches of 40 RM3-at-1/32 features (every tenth EMB).
+    {
+        const SyntheticDataset data(makeRm3(1.0 / 32.0), 106);
+        std::uint64_t h = 0xcbf29ce484222325ULL, lookups = 0;
+        for (std::uint64_t b = 0; b < 16; ++b) {
+            for (std::uint32_t j = 0; j < 400; j += 10) {
+                const FeatureBatch fb = data.featureBatch(j, 64, b);
+                h = foldBatch(h, fb);
+                lookups += fb.numLookups();
+            }
+        }
+        EXPECT_EQ(lookups, 990228u);
+        EXPECT_EQ(h, 8868296634918470595ULL);
+    }
+    // The serve-3tier tiny model under hot-set churn, months 0-11.
+    {
+        SyntheticDataset data(makeTinyModel(16, 20000, 7), 3);
+        DriftModel drift;
+        drift.hotChurnPerMonth = 0.05;
+        data.setDrift(drift);
+        std::uint64_t h = 0xcbf29ce484222325ULL, lookups = 0;
+        for (std::uint32_t m = 0; m < 12; ++m) {
+            data.setMonth(m);
+            for (std::uint32_t j = 0; j < 16; ++j) {
+                const FeatureBatch fb = data.featureBatch(j, 32, m);
+                h = foldBatch(h, fb);
+                lookups += fb.numLookups();
+            }
+        }
+        EXPECT_EQ(lookups, 146035u);
+        EXPECT_EQ(h, 1020057717696456003ULL);
+    }
+    // A 1-sample batch.
+    {
+        const SyntheticDataset data(makeTinyModel(4, 500, 7), 99);
+        const FeatureBatch fb = data.featureBatch(2, 1, 5);
+        EXPECT_EQ(fb.numLookups(), 1u);
+        EXPECT_EQ(foldBatch(0xcbf29ce484222325ULL, fb),
+                  2837186034016722947ULL);
+    }
+}
+
+// One dataset shared by the whole worker team, as profileDataset and
+// the replay engine share it: concurrent draws read its samplers and
+// must equal the serial stream. Under TSan this is the race check
+// for the per-feature samplers; 80 features also take the
+// constructor's parallel sampler build.
+TEST(Dataset, SharedDatasetDrawsOnWorkerTeam)
+{
+    const SyntheticDataset data(makeTinyModel(80, 3000, 13), 21);
+    constexpr std::uint32_t kBatches = 3;
+    const std::size_t items = 80 * kBatches;
+    std::vector<FeatureBatch> parallel(items);
+    parallelFor(items, [&](std::size_t i) {
+        parallel[i] = data.featureBatch(
+            static_cast<std::uint32_t>(i % 80), 64, i / 80);
+    });
+    for (std::size_t i = 0; i < items; ++i) {
+        const FeatureBatch serial = data.featureBatch(
+            static_cast<std::uint32_t>(i % 80), 64, i / 80);
+        EXPECT_EQ(parallel[i].offsets, serial.offsets) << i;
+        EXPECT_EQ(parallel[i].indices, serial.indices) << i;
+    }
 }
 
 TEST(Drift, MultiplierShapesMatchFig9)

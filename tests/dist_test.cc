@@ -11,11 +11,32 @@
 #include <map>
 #include <tuple>
 
+#include "recshard/base/parallel.hh"
 #include "recshard/base/random.hh"
 #include "recshard/base/stats.hh"
 #include "recshard/dist/frequency_cdf.hh"
 #include "recshard/dist/sampling.hh"
 #include "recshard/dist/zipf.hh"
+
+namespace recshard {
+
+/** Test seam: what a ZipfSampler tabulated. */
+struct ZipfSamplerPeer
+{
+    static constexpr int kShift = ZipfSampler::kGuideShift;
+
+    static std::uint64_t guideFirst(const ZipfSampler &z)
+    {
+        return z.guideFirst;
+    }
+
+    static const std::vector<std::uint16_t> &guide(const ZipfSampler &z)
+    {
+        return z.guide;
+    }
+};
+
+} // namespace recshard
 
 namespace {
 
@@ -125,6 +146,215 @@ TEST(Zipf, ExactCdfIsMonotoneToOne)
     for (std::size_t i = 1; i < cdf.size(); ++i)
         EXPECT_GT(cdf[i], cdf[i - 1]);
     EXPECT_NEAR(cdf.back(), 1.0, 1e-9);
+}
+
+/**
+ * The rejection-inversion sampler as it stood before the guide
+ * table, kept verbatim as the oracle for the guided one. The draw is
+ * templated on the generator only so a test can feed it one chosen
+ * uniform.
+ */
+class OracleZipf
+{
+  public:
+    OracleZipf(std::uint64_t n_, double alpha_) : n(n_), alpha(alpha_)
+    {
+        if (alpha > 0.0) {
+            hX1 = hIntegral(1.5) - 1.0;
+            hN = hIntegral(static_cast<double>(n) + 0.5);
+            sThreshold = 2.0 -
+                hIntegralInverse(hIntegral(2.5) - h(2.0));
+        }
+    }
+
+    template <class Gen>
+    std::uint64_t operator()(Gen &rng) const
+    {
+        if (alpha == 0.0)
+            return static_cast<std::uint64_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+
+        // Hörmann & Derflinger rejection-inversion: invert H over the
+        // continuous envelope, round to the nearest integer rank, and
+        // accept either inside the always-accept band or by the exact
+        // h comparison. Expected iterations are O(1) for all alpha.
+        for (;;) {
+            const double u = hN + rng.nextDouble() * (hX1 - hN);
+            const double x = hIntegralInverse(u);
+            double k = std::floor(x + 0.5);
+            k = std::clamp(k, 1.0, static_cast<double>(n));
+            if (k - x <= sThreshold ||
+                u >= hIntegral(k + 0.5) - h(k)) {
+                return static_cast<std::uint64_t>(k) - 1;
+            }
+        }
+    }
+
+  private:
+    /** (exp(t) - 1) / t, stable near t == 0. */
+    static double
+    expm1OverT(double t)
+    {
+        return std::abs(t) > 1e-8 ? std::expm1(t) / t
+                                  : 1.0 + t / 2.0 * (1.0 + t / 3.0);
+    }
+
+    /** log(1 + t) / t, stable near t == 0. */
+    static double
+    log1pOverT(double t)
+    {
+        return std::abs(t) > 1e-8 ? std::log1p(t) / t
+                                  : 1.0 - t / 2.0 * (1.0 - 2.0 * t / 3.0);
+    }
+
+    double
+    hIntegral(double x) const
+    {
+        const double logx = std::log(x);
+        return expm1OverT((1.0 - alpha) * logx) * logx;
+    }
+
+    double
+    h(double x) const
+    {
+        return std::exp(-alpha * std::log(x));
+    }
+
+    double
+    hIntegralInverse(double x) const
+    {
+        double t = x * (1.0 - alpha);
+        t = std::max(t, -1.0); // clamp round-off below the pole
+        return std::exp(log1pOverT(t) * x);
+    }
+
+    std::uint64_t n;
+    double alpha;
+    double hX1 = 0.0;
+    double hN = 0.0;
+    double sThreshold = 0.0;
+};
+
+/** Yields one chosen 53-bit uniform, then counts further draws. */
+struct OneUniform
+{
+    std::uint64_t r;
+    int draws = 0;
+
+    double nextDouble()
+    {
+        return static_cast<double>(draws++ == 0 ? r : 0) * 0x1.0p-53;
+    }
+
+    // Uniform (alpha 0) samplers tabulate nothing, so this is never
+    // the draw under test.
+    std::int64_t uniformInt(std::int64_t lo, std::int64_t)
+    {
+        ++draws;
+        return lo;
+    }
+};
+
+struct ZipfShape
+{
+    std::uint64_t n;
+    double alpha;
+};
+
+std::vector<ZipfShape>
+differentialShapes()
+{
+    std::vector<ZipfShape> shapes;
+    for (const std::uint64_t n :
+         {1ULL, 2ULL, 32ULL, 36ULL, 20000ULL, 7270315ULL, 3000000000ULL})
+        for (const double alpha :
+             {0.0, 0.05, 0.3, 0.6, 0.999, 1.0, 1.001, 1.6, 2.0})
+            shapes.push_back({n, alpha});
+    return shapes;
+}
+
+// The guide table must not change a single draw: copies of one Rng
+// through the guided sampler and the oracle give equal sequences and
+// leave the generators in the same state.
+TEST(Zipf, GuidedDrawsEqualRejectionInversionOracle)
+{
+    constexpr std::uint64_t kDraws = 10'000'000;
+    const std::vector<ZipfShape> shapes = differentialShapes();
+    std::vector<std::uint64_t> mismatches(shapes.size(), 0);
+    std::vector<std::uint64_t> first_bad(shapes.size(), kDraws);
+    // One byte per slot: workers write distinct elements at once.
+    std::vector<char> same_state(shapes.size(), 0);
+    parallelFor(shapes.size(), [&](std::size_t i) {
+        const ZipfSampler zipf(shapes[i].n, shapes[i].alpha);
+        const OracleZipf oracle(shapes[i].n, shapes[i].alpha);
+        Rng a(0x5eed0000ULL + i);
+        Rng b = a;
+        for (std::uint64_t d = 0; d < kDraws; ++d) {
+            if (zipf(a) != oracle(b)) {
+                first_bad[i] = std::min(first_bad[i], d);
+                ++mismatches[i];
+            }
+        }
+        same_state[i] = a.nextU64() == b.nextU64();
+    });
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        EXPECT_EQ(mismatches[i], 0u)
+            << "n=" << shapes[i].n << " alpha=" << shapes[i].alpha
+            << " first mismatch at draw " << first_bad[i];
+        EXPECT_TRUE(same_state[i])
+            << "n=" << shapes[i].n << " alpha=" << shapes[i].alpha;
+    }
+}
+
+// Every tabulated bucket's first and last 1024 uniforms, one at a
+// time through the oracle: each must invert to the tabulated rank
+// and be accepted without a second draw.
+TEST(Zipf, EveryTabulatedBucketEdgeMatchesOracle)
+{
+    constexpr std::uint64_t kEdge = 1024;
+    constexpr std::uint64_t kBucket = 1ULL << ZipfSamplerPeer::kShift;
+    std::uint64_t checked = 0;
+    for (const ZipfShape &shape : differentialShapes()) {
+        const ZipfSampler zipf(shape.n, shape.alpha);
+        const OracleZipf oracle(shape.n, shape.alpha);
+        const auto &guide = ZipfSamplerPeer::guide(zipf);
+        ASSERT_LE(guide.size() * sizeof(guide[0]), 2048u);
+        for (std::size_t g = 0; g < guide.size(); ++g) {
+            if (guide[g] == 0)
+                continue;
+            const std::uint64_t base =
+                (ZipfSamplerPeer::guideFirst(zipf) + g) * kBucket;
+            for (std::uint64_t j = 0; j < 2 * kEdge; ++j) {
+                OneUniform gen{j < kEdge ? base + j
+                                         : base + kBucket - 2 * kEdge + j};
+                ASSERT_EQ(oracle(gen), guide[g] - 1u)
+                    << "n=" << shape.n << " alpha=" << shape.alpha
+                    << " r=" << gen.r;
+                ASSERT_EQ(gen.draws, 1)
+                    << "n=" << shape.n << " alpha=" << shape.alpha
+                    << " r=" << gen.r;
+                ++checked;
+            }
+        }
+    }
+    // The head-heavy shapes do tabulate: the check is not vacuous.
+    EXPECT_GT(checked, 100u * 2 * kEdge);
+}
+
+TEST(Zipf, GuideCoversTheHead)
+{
+    // n = 1 is a single rank: every bucket is tabulated.
+    const ZipfSampler one(1, 1.1);
+    EXPECT_EQ(ZipfSamplerPeer::guideFirst(one), 0u);
+    EXPECT_EQ(ZipfSamplerPeer::guide(one).size(), 1024u);
+    // A skewed large support tabulates its head and stops early.
+    const ZipfSampler skewed(1'000'000, 1.1);
+    const auto &guide = ZipfSamplerPeer::guide(skewed);
+    EXPECT_GT(guide.size(), 256u);
+    EXPECT_LT(guide.size(), 1024u);
+    EXPECT_EQ(guide.back(), 1u); // the top bucket is rank 1
+    // Uniform draws need no guide.
+    EXPECT_TRUE(ZipfSamplerPeer::guide(ZipfSampler(1000, 0.0)).empty());
 }
 
 // ----------------------------------------------------------- LogNormal

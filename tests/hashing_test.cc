@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "recshard/base/random.hh"
+#include "recshard/datagen/model_zoo.hh"
 #include "recshard/hashing/birthday.hh"
 #include "recshard/hashing/hashers.hh"
 
@@ -74,6 +78,38 @@ TEST(FeatureHasher, RejectsZeroSize)
 {
     EXPECT_EXIT(FeatureHasher(0), ::testing::ExitedWithCode(1),
                 "hash size");
+}
+
+// The divide-free remainder must be `%` exactly, for every 64-bit
+// numerator, at the edge divisors and at every RM3 hash size.
+TEST(FeatureHasher, DirectRemainderEqualsModulo)
+{
+    std::vector<std::uint64_t> divisors = {1, 2, 3, (1ULL << 32) - 1,
+                                           (1ULL << 32) + 1, UINT64_MAX};
+    for (int k = 1; k < 64; ++k)
+        divisors.push_back(1ULL << k);
+    for (const double scale : {1.0, 1.0 / 32.0})
+        for (const FeatureSpec &f : makeRm3(scale).features)
+            divisors.push_back(f.hashSize);
+
+    Rng rng(2024);
+    for (const std::uint64_t d : divisors) {
+        const FeatureHasher hasher(d);
+        for (const std::uint64_t x :
+             {std::uint64_t{0}, std::uint64_t{1}, d - 1, d, UINT64_MAX})
+            ASSERT_EQ(hasher.reduce(x), x % d) << x << " % " << d;
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t x = rng.nextU64();
+            ASSERT_EQ(hasher.reduce(x), x % d) << x << " % " << d;
+        }
+    }
+    // 10^6 random numerators over divisors of every bit length.
+    for (int i = 0; i < 1'000'000; ++i) {
+        const std::uint64_t d =
+            std::max<std::uint64_t>(1, rng.nextU64() >> (i % 64));
+        const std::uint64_t x = rng.nextU64();
+        ASSERT_EQ(FeatureHasher(d).reduce(x), x % d) << x << " % " << d;
+    }
 }
 
 TEST(Birthday, ClosedFormKnownPoints)
