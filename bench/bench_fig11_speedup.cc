@@ -25,8 +25,8 @@ main(int argc, char **argv)
                  "Speedup vs slowest", "RecShard vs next-best"});
     const double paper_gain[] = {2.58, 5.26, 7.41};
     int model_idx = 0;
-    for (const char *name : {"rm1", "rm2", "rm3"}) {
-        const ModelEvaluation eval = evaluateModel(cfg, name);
+    for (const ModelEvaluation &eval :
+         evaluateModels(cfg, {"rm1", "rm2", "rm3"})) {
         double slowest = 0.0, best_baseline = 1e300;
         for (const auto &s : eval.strategies) {
             slowest = std::max(slowest, s.meanBottleneckTime);

@@ -22,7 +22,7 @@ main(int argc, char **argv)
     flags.parse(argc, argv);
     const ExperimentConfig cfg = ExperimentConfig::fromFlags(flags);
 
-    const ModelEvaluation eval = evaluateModel(cfg, "rm2");
+    const ModelEvaluation eval = evaluateModels(cfg, {"rm2"})[0];
     const StrategyResult &rs = eval.byName("RecShard");
 
     const std::uint32_t gpus = static_cast<std::uint32_t>(

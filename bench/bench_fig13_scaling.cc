@@ -21,9 +21,11 @@ main(int argc, char **argv)
     flags.parse(argc, argv);
     const ExperimentConfig cfg = ExperimentConfig::fromFlags(flags);
 
-    const ModelEvaluation rm1 = evaluateModel(cfg, "rm1");
-    const ModelEvaluation rm2 = evaluateModel(cfg, "rm2");
-    const ModelEvaluation rm3 = evaluateModel(cfg, "rm3");
+    const std::vector<ModelEvaluation> evals =
+        evaluateModels(cfg, {"rm1", "rm2", "rm3"});
+    const ModelEvaluation &rm1 = evals[0];
+    const ModelEvaluation &rm2 = evals[1];
+    const ModelEvaluation &rm3 = evals[2];
 
     TextTable t({"Strategy", "2x model (RM2/RM1)",
                  "4x model (RM3/RM1)", "Paper note"});

@@ -29,8 +29,8 @@ main(int argc, char **argv)
     TextTable t({"Model", "Strategy", "Min", "Max", "Mean",
                  "StdDev", "Paper (min/max/mean/std)"});
     int paper_row = 0;
-    for (const char *name : {"rm1", "rm2", "rm3"}) {
-        const ModelEvaluation eval = evaluateModel(cfg, name);
+    for (const ModelEvaluation &eval :
+         evaluateModels(cfg, {"rm1", "rm2", "rm3"})) {
         for (const auto &s : eval.strategies) {
             std::vector<double> ms;
             for (const double sec : s.gpuMeanTime)

@@ -75,8 +75,7 @@ main(int argc, char **argv)
     TextTable t({"Model", "Disparity", "SB", "LB", "SBL",
                  "Paper (SB/LB/SBL)"});
     int pr = 0;
-    for (const char *name : {"rm2", "rm3"}) {
-        const ModelEvaluation eval = evaluateModel(cfg, name);
+    for (const ModelEvaluation &eval : evaluateModels(cfg, {"rm2", "rm3"})) {
         const StrategyResult &rs = eval.byName("RecShard");
         const Disparity sb = disparity(eval.byName("Size-Based"),
                                        rs);

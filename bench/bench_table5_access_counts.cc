@@ -24,8 +24,8 @@ main(int argc, char **argv)
     TextTable t({"Model", "Strategy", "HBM/GPU/iter", "UVM/GPU/iter",
                  "UVM %", "Paper UVM %"});
     int paper_row = 0;
-    for (const char *name : {"rm1", "rm2", "rm3"}) {
-        const ModelEvaluation eval = evaluateModel(cfg, name);
+    for (const ModelEvaluation &eval :
+         evaluateModels(cfg, {"rm1", "rm2", "rm3"})) {
         for (const auto &s : eval.strategies) {
             const auto &p = paper::kTable5[paper_row++];
             const double paper_uvm_pct = p.hbm + p.uvm > 0

@@ -66,10 +66,10 @@ SyntheticDataset::SyntheticDataset(ModelSpec spec_, std::uint64_t seed_)
     }
 }
 
+template <bool kHashed>
 FeatureBatch
-SyntheticDataset::featureBatch(std::uint32_t feature,
-                               std::uint32_t batch_size,
-                               std::uint64_t batch_index) const
+SyntheticDataset::draw(std::uint32_t feature, std::uint32_t batch_size,
+                       std::uint64_t batch_index) const
 {
     fatal_if(feature >= model.numFeatures(),
              "feature ", feature, " out of range");
@@ -104,13 +104,29 @@ SyntheticDataset::featureBatch(std::uint32_t feature,
             for (std::uint32_t k = 0; k < pool; ++k) {
                 std::uint64_t v = zipf(rng) + shift;
                 v -= v >= card ? card : 0;
-                batch.indices.push_back(hasher(v));
+                batch.indices.push_back(kHashed ? hasher(v) : v);
             }
         }
         batch.offsets.push_back(
             static_cast<std::uint32_t>(batch.indices.size()));
     }
     return batch;
+}
+
+FeatureBatch
+SyntheticDataset::featureBatch(std::uint32_t feature,
+                               std::uint32_t batch_size,
+                               std::uint64_t batch_index) const
+{
+    return draw<true>(feature, batch_size, batch_index);
+}
+
+FeatureBatch
+SyntheticDataset::rawFeatureBatch(std::uint32_t feature,
+                                  std::uint32_t batch_size,
+                                  std::uint64_t batch_index) const
+{
+    return draw<false>(feature, batch_size, batch_index);
 }
 
 SparseBatch

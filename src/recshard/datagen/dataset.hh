@@ -128,6 +128,17 @@ class SyntheticDataset
                               std::uint32_t batch_size,
                               std::uint64_t batch_index) const;
 
+    /**
+     * The featureBatch draw with each raw (post-churn, pre-hash)
+     * categorical value in `indices` instead of its EMB row. The
+     * draw reads no hash size, so models that differ only in hash
+     * sizes draw the same raw batch, and hashing it under each
+     * model's FeatureHasher gives each model's featureBatch.
+     */
+    FeatureBatch rawFeatureBatch(std::uint32_t feature,
+                                 std::uint32_t batch_size,
+                                 std::uint64_t batch_index) const;
+
     /** Generate all features for one batch. */
     SparseBatch batch(std::uint32_t batch_size,
                       std::uint64_t batch_index) const;
@@ -141,6 +152,11 @@ class SyntheticDataset
                                   std::uint64_t batch_index) const;
 
   private:
+    /** The one draw loop: EMB rows if kHashed, else raw values. */
+    template <bool kHashed>
+    FeatureBatch draw(std::uint32_t feature, std::uint32_t batch_size,
+                      std::uint64_t batch_index) const;
+
     ModelSpec model;
     std::uint64_t seed;
     std::uint32_t monthV = 0;

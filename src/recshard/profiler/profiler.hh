@@ -9,11 +9,12 @@
  * agnostic to the sampling rate — callers feed it however many
  * batches they wish.
  *
- * Each EMB is counted by its own EmbProfiler, which lives only from
- * the EMB's first batch to its finished profile. profileDataset
- * therefore holds at most one counter per worker at a time: peak
- * transient memory is O(workers x min(hashSize, 2^25)) count slots,
- * not the sum of every table's hash size.
+ * Each EMB is counted by its own EmbProfiler per hash size, which
+ * lives only from the EMB's first batch to its finished profile.
+ * profileHashSizes therefore holds at most one counter per hash size
+ * per worker at a time: peak transient memory is O(workers x hash
+ * sizes x min(hashSize, 2^25)) count slots, not the sum of every
+ * table's hash size.
  */
 
 #ifndef RECSHARD_PROFILER_PROFILER_HH
@@ -25,6 +26,7 @@
 
 #include "recshard/datagen/dataset.hh"
 #include "recshard/dist/frequency_cdf.hh"
+#include "recshard/hashing/hashers.hh"
 
 namespace recshard {
 
@@ -61,12 +63,23 @@ class EmbProfiler
     void add(const FeatureBatch &batch);
 
     /**
+     * Accumulate one batch of raw values (rawFeatureBatch), hashing
+     * each into this EMB's rows as it is counted. The hasher's hash
+     * size must be this EMB's.
+     */
+    void add(const FeatureBatch &raw_batch, const FeatureHasher &hasher);
+
+    /**
      * Build the EMB's profile and release the counter. The
      * accumulator must not be reused afterwards.
      */
     EmbProfile finish();
 
   private:
+    /** The one counting loop: row `map(v)` for each v in indices. */
+    template <class Map>
+    void count(const FeatureBatch &batch, const Map &map);
+
     std::uint64_t hashSize;
     bool useDense;
     bool finished = false;
@@ -78,13 +91,24 @@ class EmbProfiler
 };
 
 /**
- * Convenience wrapper: profile `num_samples` samples drawn from the
- * dataset in batches of `batch_size`, using a batch-index region
- * disjoint from training replay. EMBs are profiled in parallel
- * (base/parallel.hh), each by one work item from counter to CDF; the
- * result equals a serial profile. A dense counter is scanned into
- * row-ascending pairs, which the FrequencyCdf ranks in linear time.
+ * Profile `num_samples` samples drawn from the dataset in batches of
+ * `batch_size`, using a batch-index region disjoint from training
+ * replay, once per hash-size list: result[m][j] profiles EMB j
+ * hashed into hash_sizes[m][j] rows under the dataset's salt. That
+ * is bit for bit profileDataset of a dataset whose model differs
+ * from data's only in hash sizes (RM1-RM3, scaleRm1), yet each
+ * feature's batches are drawn once and hashed as they are counted.
+ * EMBs are profiled in parallel (base/parallel.hh), each by one work
+ * item from counters to CDFs; the result equals a serial profile. A
+ * dense counter is scanned into row-ascending pairs, which the
+ * FrequencyCdf ranks in linear time.
  */
+std::vector<std::vector<EmbProfile>> profileHashSizes(
+    const SyntheticDataset &data,
+    const std::vector<std::vector<std::uint64_t>> &hash_sizes,
+    std::uint64_t num_samples, std::uint32_t batch_size = 4096);
+
+/** profileHashSizes under the dataset's own hash sizes. */
 std::vector<EmbProfile> profileDataset(const SyntheticDataset &data,
                                        std::uint64_t num_samples,
                                        std::uint32_t batch_size = 4096);

@@ -1,9 +1,8 @@
 #include "recshard/report/experiment.hh"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <limits>
+#include <tuple>
 
 #include "recshard/base/logging.hh"
 #include "recshard/datagen/model_zoo.hh"
@@ -24,43 +23,37 @@ ExperimentConfig::addFlags(FlagSet &flags)
     flags.addInt("seed", 42, "experiment seed");
     flags.addInt("profile-samples", 40000,
                  "training samples profiled per model");
-    flags.addString("cache-dir", "recshard-bench-cache",
-                    "evaluation memoization directory");
-    flags.addBool("no-cache", "recompute instead of reading cache");
 }
+
+namespace {
+
+/** Flag `name` as a T, fatal unless it is in [lo, T's maximum]. */
+template <class T>
+T
+boundedFlag(const FlagSet &flags, const char *name, std::int64_t lo)
+{
+    const std::int64_t v = flags.getInt(name);
+    const auto hi = std::numeric_limits<T>::max();
+    fatal_if(v < lo || static_cast<std::uint64_t>(v) > hi, "--", name,
+             " must be in [", lo, ", ", hi, "], got ", v);
+    return static_cast<T>(v);
+}
+
+} // namespace
 
 ExperimentConfig
 ExperimentConfig::fromFlags(const FlagSet &flags)
 {
     ExperimentConfig cfg;
     cfg.scale = flags.getDouble("scale");
-    cfg.gpus = static_cast<std::uint32_t>(flags.getInt("gpus"));
-    cfg.batch = static_cast<std::uint32_t>(flags.getInt("batch"));
-    cfg.warmup = static_cast<std::uint32_t>(flags.getInt("warmup"));
-    cfg.iters = static_cast<std::uint32_t>(flags.getInt("iters"));
+    cfg.gpus = boundedFlag<std::uint32_t>(flags, "gpus", 1);
+    cfg.batch = boundedFlag<std::uint32_t>(flags, "batch", 1);
+    cfg.warmup = boundedFlag<std::uint32_t>(flags, "warmup", 0);
+    cfg.iters = boundedFlag<std::uint32_t>(flags, "iters", 1);
     cfg.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
-    cfg.profileSamples = static_cast<std::uint64_t>(
-        flags.getInt("profile-samples"));
-    cfg.cacheDir = flags.getString("cache-dir");
-    cfg.noCache = flags.getBool("no-cache");
+    cfg.profileSamples =
+        boundedFlag<std::uint64_t>(flags, "profile-samples", 1);
     return cfg;
-}
-
-std::string
-ExperimentConfig::cacheKey(const std::string &model_name,
-                           const std::string &variant) const
-{
-    std::ostringstream os;
-    os << model_name << "-" << variant << "-s" << scale << "-g"
-       << gpus << "-b" << batch << "-w" << warmup << "-i" << iters
-       << "-r" << seed << "-p" << profileSamples << "-v7";
-    // The strategy set is part of the result's identity: binaries
-    // with different externally registered planners must not
-    // overwrite each other's entries.
-    for (const std::string &name : PlannerRegistry::names())
-        if (PlannerRegistry::create(name)->scalable())
-            os << "+" << name;
-    return os.str();
 }
 
 double
@@ -121,87 +114,6 @@ ModelEvaluation::byName(const std::string &name) const
 
 namespace {
 
-// ------------------------------------------------ cache plumbing
-
-void
-writeResult(std::ostream &os, const StrategyResult &s)
-{
-    os << "strategy " << s.name << "\n";
-    os << "iters " << s.iterations << " bottleneck "
-       << s.meanBottleneckTime << "\n";
-    os << "tables " << s.gpu.size() << "\n";
-    for (std::size_t j = 0; j < s.gpu.size(); ++j)
-        os << s.gpu[j] << " " << s.hbmRows[j] << " " << s.hashSize[j]
-           << "\n";
-    os << "gpus " << s.gpuMeanTime.size() << "\n";
-    for (std::size_t m = 0; m < s.gpuMeanTime.size(); ++m) {
-        os << s.gpuMeanTime[m] << " " << s.traffic[m].hbmAccesses
-           << " " << s.traffic[m].uvmAccesses << " "
-           << s.traffic[m].hbmBytes << " " << s.traffic[m].uvmBytes
-           << "\n";
-    }
-}
-
-bool
-readResult(std::istream &is, StrategyResult &s)
-{
-    std::string tag;
-    if (!(is >> tag) || tag != "strategy")
-        return false;
-    is >> s.name;
-    std::size_t tables = 0, gpus = 0;
-    is >> tag >> s.iterations >> tag >> s.meanBottleneckTime;
-    is >> tag >> tables;
-    s.gpu.resize(tables);
-    s.hbmRows.resize(tables);
-    s.hashSize.resize(tables);
-    for (std::size_t j = 0; j < tables; ++j)
-        is >> s.gpu[j] >> s.hbmRows[j] >> s.hashSize[j];
-    is >> tag >> gpus;
-    s.gpuMeanTime.resize(gpus);
-    s.traffic.resize(gpus);
-    for (std::size_t m = 0; m < gpus; ++m) {
-        is >> s.gpuMeanTime[m] >> s.traffic[m].hbmAccesses >>
-            s.traffic[m].uvmAccesses >> s.traffic[m].hbmBytes >>
-            s.traffic[m].uvmBytes;
-    }
-    return static_cast<bool>(is);
-}
-
-bool
-loadEvaluation(const std::string &path, ModelEvaluation &eval,
-               std::size_t expected)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    eval.strategies.clear();
-    StrategyResult s;
-    while (readResult(in, s))
-        eval.strategies.push_back(s);
-    return eval.strategies.size() == expected;
-}
-
-void
-storeEvaluation(const std::string &dir, const std::string &key,
-                const ModelEvaluation &eval)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        warn("cannot create cache dir '", dir, "': ", ec.message());
-        return;
-    }
-    std::ofstream out(dir + "/" + key + ".txt");
-    if (!out) {
-        warn("cannot write cache entry '", key, "'");
-        return;
-    }
-    out.precision(17);
-    for (const auto &s : eval.strategies)
-        writeResult(out, s);
-}
-
 StrategyResult
 toStrategyResult(const ModelSpec &model, const ShardingPlan &plan,
                  const ReplayResult &replay)
@@ -224,21 +136,51 @@ toStrategyResult(const ModelSpec &model, const ShardingPlan &plan,
     return out;
 }
 
+/**
+ * Profile every named model from one draw per feature. The draw
+ * reads no hash size, and the models may differ in nothing else
+ * (RM2 and RM3 are RM1 with rescaled hash sizes, scaleRm1), so each
+ * model's profile is the one its own dataset would give.
+ */
+std::vector<std::vector<EmbProfile>>
+profileModels(const ExperimentConfig &cfg,
+              const std::vector<ModelSpec> &models)
+{
+    const auto drawn = [](const FeatureSpec &f) {
+        return std::tie(f.kind, f.cardinality, f.hashSalt, f.alpha,
+                        f.meanPool, f.poolSigma, f.maxPool,
+                        f.coverage);
+    };
+    std::vector<std::vector<std::uint64_t>> hash_sizes;
+    for (const ModelSpec &model : models) {
+        std::vector<std::uint64_t> &sizes = hash_sizes.emplace_back();
+        for (const FeatureSpec &f : model.features) {
+            const std::size_t j = sizes.size();
+            fatal_if(j >= models[0].numFeatures() ||
+                         drawn(f) != drawn(models[0].features[j]),
+                     model.name, " and ", models[0].name,
+                     " draw feature ", j, " differently");
+            sizes.push_back(f.hashSize);
+        }
+    }
+    return profileHashSizes(
+        SyntheticDataset(models[0], cfg.seed), hash_sizes,
+        cfg.profileSamples,
+        static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(4096, cfg.profileSamples)));
+}
+
 /** Compute plans for a variant set and replay them on one trace. */
 ModelEvaluation
-computeEvaluation(const ExperimentConfig &cfg,
-                  const std::string &model_name, bool ablation)
+computeEvaluation(const ExperimentConfig &cfg, const ModelSpec &model,
+                  const std::string &model_name,
+                  const std::vector<EmbProfile> &profiles, bool ablation)
 {
     inform("evaluating ", model_name, " at scale ", cfg.scale,
            " on ", cfg.gpus, " GPUs (",
            ablation ? "ablation" : "strategies", ")...");
-    const ModelSpec model = makeRmByName(model_name, cfg.scale);
     const SyntheticDataset data(model, cfg.seed);
     const SystemSpec sys = SystemSpec::paper(cfg.gpus, cfg.scale);
-    const auto profiles = profileDataset(
-        data, cfg.profileSamples,
-        std::min<std::uint32_t>(4096, static_cast<std::uint32_t>(
-            cfg.profileSamples)));
 
     PlanRequest req =
         PlanRequest::make(model, profiles, sys, cfg.batch);
@@ -302,44 +244,31 @@ computeEvaluation(const ExperimentConfig &cfg,
     return eval;
 }
 
-/** Strategies evaluateModel covers: every scalable planner. */
-std::size_t
-scalablePlannerCount()
-{
-    std::size_t count = 0;
-    for (const std::string &name : PlannerRegistry::names())
-        count += PlannerRegistry::create(name)->scalable() ? 1 : 0;
-    return count;
-}
-
 } // namespace
 
-ModelEvaluation
-evaluateModel(const ExperimentConfig &cfg,
-              const std::string &model_name)
+std::vector<ModelEvaluation>
+evaluateModels(const ExperimentConfig &cfg,
+               const std::vector<std::string> &model_names)
 {
-    const std::string key = cfg.cacheKey(model_name, "strategies");
-    const std::string path = cfg.cacheDir + "/" + key + ".txt";
-    ModelEvaluation eval;
-    eval.modelName = model_name;
-    if (!cfg.noCache &&
-        loadEvaluation(path, eval, scalablePlannerCount())) {
-        inform("loaded cached evaluation ", key);
-        return eval;
-    }
-    eval = computeEvaluation(cfg, model_name, false);
-    if (!cfg.noCache)
-        storeEvaluation(cfg.cacheDir, key, eval);
-    return eval;
+    fatal_if(model_names.empty(), "no model to evaluate");
+    std::vector<ModelSpec> models;
+    for (const std::string &name : model_names)
+        models.push_back(makeRmByName(name, cfg.scale));
+    const auto profiles = profileModels(cfg, models);
+    std::vector<ModelEvaluation> evals;
+    for (std::size_t m = 0; m < models.size(); ++m)
+        evals.push_back(computeEvaluation(cfg, models[m], model_names[m],
+                                          profiles[m], false));
+    return evals;
 }
 
 ModelEvaluation
 evaluateAblation(const ExperimentConfig &cfg,
                  const std::string &model_name)
 {
-    // Not memoized: the variant names contain spaces, which the
-    // cache's whitespace-separated entries cannot round-trip.
-    return computeEvaluation(cfg, model_name, true);
+    const ModelSpec model = makeRmByName(model_name, cfg.scale);
+    return computeEvaluation(cfg, model, model_name,
+                             profileModels(cfg, {model})[0], true);
 }
 
 namespace paper {

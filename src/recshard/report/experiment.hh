@@ -4,10 +4,10 @@
  *
  * Evaluates the three state-of-the-art baselines and RecShard on an
  * RM model under the paper's 16-GPU system (Sections 5-6), with a
- * row-scale knob so the full pipeline runs on modest hosts. Results
- * are memoized in a small on-disk cache keyed by configuration so
- * every table/figure binary can re-print its view of the same runs
- * without recomputing them.
+ * row-scale knob so the full pipeline runs on modest hosts. Every
+ * run recomputes: RM1-RM3 differ only in hash sizes, so one draw per
+ * feature profiles all of them, and nothing is read from or written
+ * to disk.
  */
 
 #ifndef RECSHARD_REPORT_EXPERIMENT_HH
@@ -32,18 +32,15 @@ struct ExperimentConfig
     std::uint32_t iters = 5;      //!< measured iterations
     std::uint64_t seed = 42;
     std::uint64_t profileSamples = 40000;
-    std::string cacheDir = "recshard-bench-cache";
-    bool noCache = false;
 
     /** Register the standard flags on a parser. */
     static void addFlags(FlagSet &flags);
 
-    /** Read the standard flags back. */
+    /**
+     * Read the standard flags back; fatal if a count flag is out of
+     * its field's range (--warmup >= 0, the others >= 1).
+     */
     static ExperimentConfig fromFlags(const FlagSet &flags);
-
-    /** Cache key for one (config, model, variant) evaluation. */
-    std::string cacheKey(const std::string &model_name,
-                         const std::string &variant) const;
 };
 
 /** Summary of one strategy's plan + replay on one model. */
@@ -82,15 +79,17 @@ struct ModelEvaluation
 /**
  * Evaluate every registered scalable planner (the registry's
  * baselines plus RecShard, plus anything externally registered) on
- * one RM ("rm1"/"rm2"/"rm3"), replaying identical traffic, with
- * disk memoization.
+ * each named RM ("rm1"/"rm2"/"rm3"), in the order named. All models
+ * are profiled from one draw per feature; each model's strategies
+ * then replay identical traffic.
  */
-ModelEvaluation evaluateModel(const ExperimentConfig &config,
-                              const std::string &model_name);
+std::vector<ModelEvaluation>
+evaluateModels(const ExperimentConfig &config,
+               const std::vector<std::string> &model_names);
 
 /**
  * Evaluate the Section 6.5 ablation ladder (CDF only, +Coverage,
- * +Pooling, Full) of RecShard on one model. Not disk-memoized.
+ * +Pooling, Full) of RecShard on one model.
  */
 ModelEvaluation evaluateAblation(const ExperimentConfig &config,
                                  const std::string &model_name);

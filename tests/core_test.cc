@@ -9,6 +9,7 @@
 #include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/planner/registry.hh"
+#include "recshard/report/experiment.hh"
 #include "recshard/sharding/baselines.hh"
 #include "recshard/tiering/topology.hh"
 
@@ -175,6 +176,41 @@ TEST(Pipeline, RejectsZeroSamples)
     opts.profileSamples = 0;
     EXPECT_EXIT(RecShardPipeline(data, sys, opts),
                 ::testing::ExitedWithCode(1), "sample");
+}
+
+/** Parse one harness flag (`--name value`) into an ExperimentConfig. */
+ExperimentConfig
+harnessConfig(const std::string &name, const std::string &value)
+{
+    FlagSet flags("harness");
+    ExperimentConfig::addFlags(flags);
+    std::string prog = "harness", flag = "--" + name, arg = value;
+    char *argv[] = {prog.data(), flag.data(), arg.data()};
+    flags.parse(3, argv);
+    return ExperimentConfig::fromFlags(flags);
+}
+
+TEST(ExperimentConfig, RejectsOutOfRangeCountFlags)
+{
+    for (const char *name : {"profile-samples", "iters", "batch", "gpus"}) {
+        SCOPED_TRACE(name);
+        const std::string named = std::string("--") + name;
+        EXPECT_EXIT(harnessConfig(name, "-1"),
+                    ::testing::ExitedWithCode(1), named);
+        EXPECT_EXIT(harnessConfig(name, "0"),
+                    ::testing::ExitedWithCode(1), named);
+    }
+    for (const char *name : {"iters", "batch", "gpus", "warmup"})
+        EXPECT_EXIT(harnessConfig(name, "4294967296"),
+                    ::testing::ExitedWithCode(1),
+                    std::string("--") + name);
+    EXPECT_EXIT(harnessConfig("warmup", "-1"),
+                ::testing::ExitedWithCode(1), "--warmup");
+
+    // Values at the bounds of each range are accepted.
+    EXPECT_EQ(harnessConfig("warmup", "0").warmup, 0u);
+    EXPECT_EQ(harnessConfig("iters", "4294967295").iters, 4294967295u);
+    EXPECT_EQ(harnessConfig("profile-samples", "1").profileSamples, 1u);
 }
 
 TEST(Reshard, DriftMakesReshardingProfitable)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "recshard/base/parallel.hh"
 #include "recshard/base/stats.hh"
@@ -51,19 +52,36 @@ TEST(ModelZoo, Rm2Rm3MatchTable2Exactly)
 
 TEST(ModelZoo, RmsShareFeatureStatistics)
 {
-    const ModelSpec rm1 = makeRm1(0.01);
-    const ModelSpec rm2 = makeRm2(0.01);
-    ASSERT_EQ(rm1.numFeatures(), rm2.numFeatures());
-    for (std::uint32_t j = 0; j < rm1.numFeatures(); ++j) {
-        EXPECT_EQ(rm1.features[j].alpha, rm2.features[j].alpha);
-        EXPECT_EQ(rm1.features[j].meanPool, rm2.features[j].meanPool);
-        EXPECT_EQ(rm1.features[j].coverage, rm2.features[j].coverage);
-        // Hash sizes roughly double (min-clamped tables excepted).
-        if (rm1.features[j].hashSize > 1000) {
-            const double ratio =
-                static_cast<double>(rm2.features[j].hashSize) /
-                static_cast<double>(rm1.features[j].hashSize);
-            EXPECT_NEAR(ratio, 2.0, 0.1);
+    // RM2 and RM3 are RM1 with rescaled hash sizes: every field the
+    // draw reads is shared, which is what lets one draw per feature
+    // profile all three (report/experiment).
+    for (const double scale : {0.01, 1.0 / 32.0}) {
+        SCOPED_TRACE("scale " + std::to_string(scale));
+        const ModelSpec rm1 = makeRm1(scale);
+        for (const ModelSpec &rm : {makeRm2(scale), makeRm3(scale)}) {
+            SCOPED_TRACE(rm.name);
+            const double growth = rm.name == "RM2" ? 2.0 : 4.0;
+            ASSERT_EQ(rm1.numFeatures(), rm.numFeatures());
+            for (std::uint32_t j = 0; j < rm1.numFeatures(); ++j) {
+                const FeatureSpec &a = rm1.features[j];
+                const FeatureSpec &b = rm.features[j];
+                EXPECT_EQ(a.cardinality, b.cardinality);
+                EXPECT_EQ(a.alpha, b.alpha);
+                EXPECT_EQ(a.meanPool, b.meanPool);
+                EXPECT_EQ(a.poolSigma, b.poolSigma);
+                EXPECT_EQ(a.maxPool, b.maxPool);
+                EXPECT_EQ(a.coverage, b.coverage);
+                EXPECT_EQ(a.kind, b.kind);
+                EXPECT_EQ(a.hashSalt, b.hashSalt);
+                // Hash sizes grow 2x (RM2) or 4x (RM3), min-clamped
+                // tables excepted.
+                if (a.hashSize > 1000) {
+                    const double ratio =
+                        static_cast<double>(b.hashSize) /
+                        static_cast<double>(a.hashSize);
+                    EXPECT_NEAR(ratio, growth, 0.05 * growth);
+                }
+            }
         }
     }
 }

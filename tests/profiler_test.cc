@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -179,6 +180,64 @@ TEST(Profiler, ParallelProfileMatchesSequentialLoop)
     }
 }
 
+/**
+ * Expect `p` to be, bit for bit, EMB j's profile of the first
+ * `samples` samples of data's featureBatch stream in the profiling
+ * batch region, counted here with an ordered map.
+ */
+void
+expectReferenceProfile(const EmbProfile &p, const SyntheticDataset &data,
+                       std::uint32_t j, std::uint64_t samples,
+                       std::uint32_t batch)
+{
+    std::map<std::uint64_t, std::uint64_t> counts;
+    std::uint64_t present = 0;
+    std::uint64_t lookups = 0;
+    std::uint64_t remaining = samples;
+    for (std::uint64_t b = 1ULL << 40; remaining > 0; ++b) {
+        const auto n = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(batch, remaining));
+        const FeatureBatch fb = data.featureBatch(j, n, b);
+        for (std::uint32_t s = 0; s < n; ++s)
+            present += fb.offsets[s + 1] > fb.offsets[s];
+        for (const std::uint64_t row : fb.indices)
+            ++counts[row];
+        lookups += fb.indices.size();
+        remaining -= n;
+    }
+    // The map iterates by row id, so a stable sort on count alone
+    // breaks ties by row id.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranked(
+        counts.begin(), counts.end());
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.second > b.second;
+                     });
+    const auto singletons = static_cast<std::uint64_t>(
+        std::count_if(ranked.begin(), ranked.end(),
+                      [](const auto &rc) { return rc.second == 1; }));
+    const double coverage = static_cast<double>(present) /
+        static_cast<double>(samples);
+    const double avg_pool = present
+        ? static_cast<double>(lookups) / static_cast<double>(present)
+        : 0.0;
+
+    EXPECT_EQ(p.samplesSeen, samples);
+    EXPECT_EQ(p.lookups, lookups);
+    EXPECT_EQ(bits(p.coverage), bits(coverage));
+    EXPECT_EQ(bits(p.avgPool), bits(avg_pool));
+    EXPECT_EQ(p.cdf.hashSize(), data.spec().features[j].hashSize);
+    EXPECT_EQ(p.cdf.totalAccesses(), lookups);
+    EXPECT_EQ(p.cdf.singletonRows(), singletons);
+    ASSERT_EQ(p.cdf.touchedRows(), ranked.size());
+    for (std::uint64_t r = 0; r < ranked.size(); ++r) {
+        ASSERT_EQ(p.cdf.rankedRows()[r], ranked[r].first)
+            << "rank " << r;
+        ASSERT_EQ(p.cdf.countAtRank(r), ranked[r].second)
+            << "rank " << r;
+    }
+}
+
 TEST(Profiler, ProfileMatchesReferenceOracle)
 {
     // Feature 1 is past the dense threshold (2^25 rows), so it takes
@@ -198,60 +257,39 @@ TEST(Profiler, ProfileMatchesReferenceOracle)
     ASSERT_EQ(got.size(), model.numFeatures());
     for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
         SCOPED_TRACE("feature " + std::to_string(j));
-        // Count the same stream with an ordered map.
-        std::map<std::uint64_t, std::uint64_t> counts;
-        std::uint64_t present = 0;
-        std::uint64_t lookups = 0;
-        std::uint64_t remaining = kSamples;
-        for (std::uint64_t b = 1ULL << 40; remaining > 0; ++b) {
-            const auto n = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(kBatch, remaining));
-            const FeatureBatch fb = data.featureBatch(j, n, b);
-            for (std::uint32_t s = 0; s < n; ++s)
-                present += fb.offsets[s + 1] > fb.offsets[s];
-            for (const std::uint64_t row : fb.indices)
-                ++counts[row];
-            lookups += fb.indices.size();
-            remaining -= n;
-        }
-        // The map iterates by row id, so a stable sort on count
-        // alone breaks ties by row id.
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> ranked(
-            counts.begin(), counts.end());
-        std::stable_sort(ranked.begin(), ranked.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.second > b.second;
-                         });
-        const auto singletons = static_cast<std::uint64_t>(
-            std::count_if(ranked.begin(), ranked.end(),
-                          [](const auto &rc) { return rc.second == 1; }));
-        const double coverage = static_cast<double>(present) /
-            static_cast<double>(kSamples);
-        const double avg_pool = present
-            ? static_cast<double>(lookups) / static_cast<double>(present)
-            : 0.0;
-
-        const EmbProfile &p = got[j];
-        EXPECT_EQ(p.samplesSeen, kSamples);
-        EXPECT_EQ(p.lookups, lookups);
-        EXPECT_EQ(bits(p.coverage), bits(coverage));
-        EXPECT_EQ(bits(p.avgPool), bits(avg_pool));
-        EXPECT_EQ(p.cdf.hashSize(), model.features[j].hashSize);
-        EXPECT_EQ(p.cdf.totalAccesses(), lookups);
-        EXPECT_EQ(p.cdf.singletonRows(), singletons);
-        ASSERT_EQ(p.cdf.touchedRows(), ranked.size());
-        for (std::uint64_t r = 0; r < ranked.size(); ++r) {
-            ASSERT_EQ(p.cdf.rankedRows()[r], ranked[r].first)
-                << "rank " << r;
-            ASSERT_EQ(p.cdf.countAtRank(r), ranked[r].second)
-                << "rank " << r;
-        }
+        expectReferenceProfile(got[j], data, j, kSamples, kBatch);
     }
     // The three shapes the model is built to cover are all present.
     EXPECT_GT(got[1].cdf.touchedRows(), 0u);
     EXPECT_EQ(got[2].cdf.touchedRows(), 0u);
     EXPECT_EQ(bits(got[2].avgPool), bits(0.0));
     EXPECT_GT(got[0].cdf.touchedRows(), 0u);
+
+    // One draw counted under several hash sizes: each list's profile
+    // is the one its own model's featureBatch stream gives. Feature
+    // 1 moves across the dense threshold both ways, and feature 2
+    // stays never present.
+    std::vector<std::vector<std::uint64_t>> hash_sizes(1);
+    for (const FeatureSpec &f : model.features)
+        hash_sizes[0].push_back(f.hashSize);
+    hash_sizes.push_back({1000, 1ULL << 26, 50, 7});
+    hash_sizes.push_back({97, 5000, 3000, 1ULL << 20});
+    const auto multi =
+        profileHashSizes(data, hash_sizes, kSamples, kBatch);
+    ASSERT_EQ(multi.size(), hash_sizes.size());
+    for (std::size_t m = 0; m < hash_sizes.size(); ++m) {
+        ModelSpec sized = model;
+        for (std::uint32_t j = 0; j < model.numFeatures(); ++j)
+            sized.features[j].hashSize = hash_sizes[m][j];
+        const SyntheticDataset sized_data(sized, 4242);
+        ASSERT_EQ(multi[m].size(), model.numFeatures());
+        for (std::uint32_t j = 0; j < model.numFeatures(); ++j) {
+            SCOPED_TRACE("hash sizes " + std::to_string(m) +
+                         ", feature " + std::to_string(j));
+            expectReferenceProfile(multi[m][j], sized_data, j,
+                                   kSamples, kBatch);
+        }
+    }
 }
 
 TEST(Profiler, RejectsMisuse)
@@ -265,6 +303,12 @@ TEST(Profiler, RejectsMisuse)
     fb.indices = {99};
     EXPECT_DEATH(profiler.add(fb), "reused after finish");
     EXPECT_DEATH(profiler.finish(), "twice");
+
+    const SyntheticDataset data(makeTinyModel(3, 100, 5), 1);
+    EXPECT_DEATH(profileHashSizes(data, {{100, 100}}, 10, 10),
+                 "hash-size list of 2 entries for 3 features");
+    EXPECT_DEATH(EmbProfiler(100).add(fb, FeatureHasher(99)),
+                 "hasher of 99 rows for an EMB of 100");
 }
 
 } // namespace
