@@ -3,15 +3,17 @@
  * Microbenchmarks (google-benchmark) for the performance-critical
  * primitives: hashing, Zipf sampling, batch generation, CDF
  * construction, remap application, tier resolution, the serving
- * cache's touch, the solver's split kernel, and a full engine
- * iteration.
+ * cache's touch, the solver's split kernel, a cluster's node
+ * solves, the worker team's dispatch, and a full engine iteration.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 
+#include "recshard/base/parallel.hh"
 #include "recshard/base/random.hh"
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/dist/frequency_cdf.hh"
@@ -23,7 +25,9 @@
 #include "recshard/remap/remap_table.hh"
 #include "recshard/serving/cache_admission.hh"
 #include "recshard/serving/lru_cache.hh"
+#include "recshard/sharding/cluster_plan.hh"
 #include "recshard/sharding/recshard_solver.hh"
+#include "recshard/tiering/topology.hh"
 
 namespace {
 
@@ -313,6 +317,52 @@ BM_RecShardSolve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RecShardSolve)->Arg(16)->Arg(64)->Arg(397)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * One parallelFor of 4 trivial items, wall time: what a call costs
+ * before any item does work. The solver's team thresholds
+ * (kParallelMinEmbs, kParallelMinSwaps) weigh their items against it.
+ */
+void
+BM_ParallelForDispatch(benchmark::State &state)
+{
+    std::atomic<std::size_t> sum{0};
+    for (auto _ : state)
+        parallelFor(4, [&](std::size_t i) { sum.fetch_add(i); });
+    benchmark::DoNotOptimize(sum.load());
+}
+BENCHMARK(BM_ParallelForDispatch)->UseRealTime();
+
+/**
+ * solveNodePlans shaped like perfbench serve-3tier: 16 tables of
+ * 20000 rows at dim 128 on 3 nodes of threeTierNode(2, ...) with HBM
+ * 10% / DRAM 25% / SSD 100% of the model per node, from a
+ * 30000-sample profile of seed 106. Wall time, as the node solves
+ * run on the worker team.
+ */
+void
+BM_SolveNodePlans(benchmark::State &state)
+{
+    ModelSpec model = makeTinyModel(16, 20000, 7);
+    for (auto &f : model.features)
+        f.dim = 128;
+    const auto per_gpu = [&](double frac) {
+        return static_cast<std::uint64_t>(
+            static_cast<double>(model.totalBytes()) * frac / 2);
+    };
+    const SystemSpec node = threeTierNode(2, per_gpu(0.10),
+                                          per_gpu(0.25), per_gpu(1.0),
+                                          false);
+    const auto profiles =
+        profileDataset(SyntheticDataset(model, 106), 30000);
+    ClusterPlanOptions cp;
+    cp.numNodes = 3;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            solveNodePlans(model, profiles, node, cp));
+}
+BENCHMARK(BM_SolveNodePlans)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -67,9 +67,10 @@ SyntheticDataset::SyntheticDataset(ModelSpec spec_, std::uint64_t seed_)
 }
 
 template <bool kHashed>
-FeatureBatch
+void
 SyntheticDataset::draw(std::uint32_t feature, std::uint32_t batch_size,
-                       std::uint64_t batch_index) const
+                       std::uint64_t batch_index,
+                       FeatureBatch &batch) const
 {
     fatal_if(feature >= model.numFeatures(),
              "feature ", feature, " out of range");
@@ -93,7 +94,8 @@ SyntheticDataset::draw(std::uint32_t feature, std::uint32_t batch_size,
     const std::uint64_t card = f.cardinality;
     const std::uint64_t shift = driftV.valueShift(monthV, card);
 
-    FeatureBatch batch;
+    batch.offsets.clear();
+    batch.indices.clear();
     batch.offsets.reserve(batch_size + 1);
     batch.offsets.push_back(0);
     batch.indices.reserve(static_cast<std::size_t>(
@@ -110,7 +112,6 @@ SyntheticDataset::draw(std::uint32_t feature, std::uint32_t batch_size,
         batch.offsets.push_back(
             static_cast<std::uint32_t>(batch.indices.size()));
     }
-    return batch;
 }
 
 FeatureBatch
@@ -118,7 +119,18 @@ SyntheticDataset::featureBatch(std::uint32_t feature,
                                std::uint32_t batch_size,
                                std::uint64_t batch_index) const
 {
-    return draw<true>(feature, batch_size, batch_index);
+    FeatureBatch batch;
+    draw<true>(feature, batch_size, batch_index, batch);
+    return batch;
+}
+
+void
+SyntheticDataset::featureBatch(std::uint32_t feature,
+                               std::uint32_t batch_size,
+                               std::uint64_t batch_index,
+                               FeatureBatch &out) const
+{
+    draw<true>(feature, batch_size, batch_index, out);
 }
 
 FeatureBatch
@@ -126,7 +138,9 @@ SyntheticDataset::rawFeatureBatch(std::uint32_t feature,
                                   std::uint32_t batch_size,
                                   std::uint64_t batch_index) const
 {
-    return draw<false>(feature, batch_size, batch_index);
+    FeatureBatch batch;
+    draw<false>(feature, batch_size, batch_index, batch);
+    return batch;
 }
 
 SparseBatch

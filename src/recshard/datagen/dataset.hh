@@ -129,6 +129,14 @@ class SyntheticDataset
                               std::uint64_t batch_index) const;
 
     /**
+     * The same batch, drawn into `out`: its vectors are cleared and
+     * refilled, keeping their capacity, so a caller that draws many
+     * batches through one buffer allocates only while it grows.
+     */
+    void featureBatch(std::uint32_t feature, std::uint32_t batch_size,
+                      std::uint64_t batch_index, FeatureBatch &out) const;
+
+    /**
      * The featureBatch draw with each raw (post-churn, pre-hash)
      * categorical value in `indices` instead of its EMB row. The
      * draw reads no hash size, so models that differ only in hash
@@ -152,10 +160,11 @@ class SyntheticDataset
                                   std::uint64_t batch_index) const;
 
   private:
-    /** The one draw loop: EMB rows if kHashed, else raw values. */
+    /** The one draw loop, into `batch`: EMB rows if kHashed, else
+     *  raw values. */
     template <bool kHashed>
-    FeatureBatch draw(std::uint32_t feature, std::uint32_t batch_size,
-                      std::uint64_t batch_index) const;
+    void draw(std::uint32_t feature, std::uint32_t batch_size,
+              std::uint64_t batch_index, FeatureBatch &batch) const;
 
     ModelSpec model;
     std::uint64_t seed;

@@ -130,10 +130,18 @@ ExecutionEngine::replay(
     const std::size_t items = static_cast<std::size_t>(iters) * J;
     std::vector<std::uint64_t> item_lookups(items);
     std::vector<std::uint64_t> item_hbm(items * P);
-    parallelFor(items, [&](std::size_t k) {
+    // One batch buffer per worker, refilled by every item it runs,
+    // each on its own cache line: a draw writes its vectors' end
+    // pointers with every lookup.
+    struct alignas(64) WorkerBatch
+    {
+        FeatureBatch batch;
+    };
+    std::vector<WorkerBatch> buffers(parallelWorkers(items));
+    parallelFor(items, [&](std::size_t w, std::size_t k) {
         const auto j = static_cast<std::uint32_t>(k % J);
-        const FeatureBatch fb = data.featureBatch(
-            j, config.batchSize, first_batch + k / J);
+        FeatureBatch &fb = buffers[w].batch;
+        data.featureBatch(j, config.batchSize, first_batch + k / J, fb);
         item_lookups[k] = fb.indices.size();
         for (std::size_t p = 0; p < P; ++p) {
             const TierResolver &res = resolvers[p][j];

@@ -64,14 +64,23 @@ class FeatureHasher
     /** Map one raw categorical value to an EMB row. */
     std::uint64_t operator()(std::uint64_t raw_value) const
     {
-        const std::uint64_t mixed = kind == HashKind::SplitMix64
+        return reduce(mix(raw_value));
+    }
+
+    /**
+     * The salted 64-bit mix of a raw value, before reduce(). It reads
+     * no hash size, so hashers that share a salt and kind mix alike.
+     */
+    std::uint64_t mix(std::uint64_t raw_value) const
+    {
+        return kindV == HashKind::SplitMix64
             ? mixSplitMix64(raw_value ^ mixedSalt)
             : mixMurmur3(raw_value ^ mixedSalt);
-        return reduce(mixed);
     }
 
     std::uint64_t hashSize() const { return size; }
     std::uint64_t salt() const { return saltV; }
+    HashKind kind() const { return kindV; }
 
     /**
      * x % hashSize() without a divide: Lemire, Kaser and Kurz's
@@ -93,7 +102,7 @@ class FeatureHasher
   private:
     std::uint64_t size;
     std::uint64_t saltV;
-    HashKind kind;
+    HashKind kindV;
     std::uint64_t mixedSalt; //!< the salt as mixed into every key
     unsigned __int128 magic; //!< ceil(2^128 / size) mod 2^128
 };

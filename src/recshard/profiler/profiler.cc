@@ -42,12 +42,13 @@ EmbProfiler::add(const FeatureBatch &batch)
 }
 
 void
-EmbProfiler::add(const FeatureBatch &raw_batch,
+EmbProfiler::add(const FeatureBatch &mixed_batch,
                  const FeatureHasher &hasher)
 {
     panic_if(hasher.hashSize() != hashSize, "hasher of ",
              hasher.hashSize(), " rows for an EMB of ", hashSize);
-    count(raw_batch, hasher);
+    count(mixed_batch,
+          [&hasher](std::uint64_t mixed) { return hasher.reduce(mixed); });
 }
 
 EmbProfile
@@ -101,10 +102,10 @@ profileHashSizes(const SyntheticDataset &data,
     constexpr std::uint64_t kProfileRegion = 1ULL << 40;
     // One item owns one EMB from counter allocation to CDF: it walks
     // the EMB's batches in batch-index order, the stream a serial
-    // loop over (batch, feature) would feed it, counts each raw
-    // batch once per hash size, and frees the counters before its
-    // worker takes another EMB. After the join the profiles are only
-    // collected.
+    // loop over (batch, feature) would feed it, mixes each raw batch
+    // once and counts it once per hash size, and frees the counters
+    // before its worker takes another EMB. After the join the
+    // profiles are only collected.
     std::vector<std::vector<EmbProfile>> out(
         hash_sizes.size(), std::vector<EmbProfile>(model.numFeatures()));
     parallelFor(model.numFeatures(), [&](std::size_t j) {
@@ -115,13 +116,22 @@ profileHashSizes(const SyntheticDataset &data,
             hashers.emplace_back(sizes[j], model.features[j].hashSalt);
             embs.emplace_back(sizes[j]);
         }
+        // One mix serves every list only while the mix reads nothing
+        // a list may change: the salt and the kind.
+        for (const FeatureHasher &h : hashers)
+            panic_if(h.salt() != hashers[0].salt() ||
+                         h.kind() != hashers[0].kind(),
+                     "feature ", j, "'s hash-size lists mix differently");
         std::uint64_t remaining = num_samples;
         for (std::uint64_t b = kProfileRegion; remaining > 0; ++b) {
             const auto n = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(batch_size, remaining));
-            const FeatureBatch raw = data.rawFeatureBatch(feature, n, b);
+            FeatureBatch batch = data.rawFeatureBatch(feature, n, b);
+            if (!hashers.empty())
+                for (std::uint64_t &v : batch.indices)
+                    v = hashers[0].mix(v);
             for (std::size_t m = 0; m < embs.size(); ++m)
-                embs[m].add(raw, hashers[m]);
+                embs[m].add(batch, hashers[m]);
             remaining -= n;
         }
         for (std::size_t m = 0; m < embs.size(); ++m)

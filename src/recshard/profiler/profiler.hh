@@ -63,11 +63,13 @@ class EmbProfiler
     void add(const FeatureBatch &batch);
 
     /**
-     * Accumulate one batch of raw values (rawFeatureBatch), hashing
-     * each into this EMB's rows as it is counted. The hasher's hash
-     * size must be this EMB's.
+     * Accumulate one batch of mixed values: each raw value of a
+     * rawFeatureBatch replaced by hasher.mix(value). Each is reduced
+     * into this EMB's rows as it is counted, so hashers that differ
+     * only in hash size count one mixed batch. The hasher's hash size
+     * must be this EMB's.
      */
-    void add(const FeatureBatch &raw_batch, const FeatureHasher &hasher);
+    void add(const FeatureBatch &mixed_batch, const FeatureHasher &hasher);
 
     /**
      * Build the EMB's profile and release the counter. The
@@ -97,7 +99,8 @@ class EmbProfiler
  * hashed into hash_sizes[m][j] rows under the dataset's salt. That
  * is bit for bit profileDataset of a dataset whose model differs
  * from data's only in hash sizes (RM1-RM3, scaleRm1), yet each
- * feature's batches are drawn once and hashed as they are counted.
+ * feature's batches are drawn and mixed once, then reduced into each
+ * hash size as they are counted.
  * EMBs are profiled in parallel (base/parallel.hh), each by one work
  * item from counters to CDFs; the result equals a serial profile. A
  * dense counter is scanned into row-ascending pairs, which the

@@ -69,7 +69,10 @@ drawArrivals(const LoadConfig &load, std::uint64_t num_queries)
  * Draw the lookups of queries [begin, end) from the dataset's
  * current month on the worker team. An item is kQueriesPerItem
  * contiguous queries and fills only those queries, in query order,
- * so the trace does not depend on the worker count.
+ * so the trace does not depend on the worker count. Each batch is
+ * drawn into the item's one buffer and copied out at its exact size:
+ * the draw reserves for a generous pooling guess, and a trace holds
+ * its vectors for as long as it is served.
  */
 void
 fillLookups(const SyntheticDataset &data, RoutedTrace &trace,
@@ -79,6 +82,7 @@ fillLookups(const SyntheticDataset &data, RoutedTrace &trace,
     const std::uint64_t items =
         (end - begin + kQueriesPerItem - 1) / kQueriesPerItem;
     parallelFor(items, [&](std::size_t k) {
+        FeatureBatch fb;
         const std::uint64_t first = begin + k * kQueriesPerItem;
         const std::uint64_t last =
             std::min(end, first + kQueriesPerItem);
@@ -87,11 +91,13 @@ fillLookups(const SyntheticDataset &data, RoutedTrace &trace,
             rq.lookups.resize(J);
             rq.sampleOffsets.resize(J);
             for (std::uint32_t j = 0; j < J; ++j) {
-                FeatureBatch fb = data.featureBatch(
-                    j, rq.query.samples, rq.query.batchIndex);
+                data.featureBatch(j, rq.query.samples,
+                                  rq.query.batchIndex, fb);
                 rq.totalLookups += fb.indices.size();
-                rq.lookups[j] = std::move(fb.indices);
-                rq.sampleOffsets[j] = std::move(fb.offsets);
+                rq.lookups[j].assign(fb.indices.begin(),
+                                     fb.indices.end());
+                rq.sampleOffsets[j].assign(fb.offsets.begin(),
+                                           fb.offsets.end());
             }
         }
     });

@@ -60,6 +60,7 @@ generateTrace(const SyntheticDataset &data,
     trace.lookups.resize(B);
     parallelFor((B + kBatchesPerItem - 1) / kBatchesPerItem,
                 [&](std::size_t k) {
+        FeatureBatch fb; // one buffer for the item's every draw
         const std::size_t last =
             std::min(B, (k + 1) * kBatchesPerItem);
         for (std::size_t b = k * kBatchesPerItem; b < last; ++b) {
@@ -67,8 +68,7 @@ generateTrace(const SyntheticDataset &data,
             per_feature.resize(J);
             for (const Query &q : trace.batches[b].queries) {
                 for (std::uint32_t j = 0; j < J; ++j) {
-                    const FeatureBatch fb = data.featureBatch(
-                        j, q.samples, q.batchIndex);
+                    data.featureBatch(j, q.samples, q.batchIndex, fb);
                     per_feature[j].insert(per_feature[j].end(),
                                           fb.indices.begin(),
                                           fb.indices.end());

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "recshard/base/logging.hh"
+#include "recshard/base/parallel.hh"
 #include "recshard/planner/registry.hh"
 #include "recshard/tiering/tier_plan.hh"
 
@@ -97,14 +98,21 @@ solveNodePlans(const ModelSpec &model,
     fatal_if(N > J, "cannot slice ", J, " tables across ", N,
              " nodes");
 
-    const std::unique_ptr<Planner> planner =
-        PlannerRegistry::create(options.plannerName);
+    // One planner per node, made here so an unknown name is fatal on
+    // the caller and no two node solves share an instance.
+    std::vector<std::unique_ptr<Planner>> planners;
+    for (std::uint32_t n = 0; n < N; ++n)
+        planners.push_back(PlannerRegistry::create(options.plannerName));
 
     out.slices = partitionByTraffic(model, profiles, out.nodeSpecs);
-    out.plans.reserve(N);
-    out.diags.reserve(N);
+    out.plans.resize(N);
+    out.diags.resize(N);
 
-    for (std::uint32_t n = 0; n < N; ++n) {
+    // Node solves are independent: each item reads the shared inputs
+    // and writes only its own plans[n] and diags[n], so the plan set
+    // is the same for any worker count.
+    parallelFor(N, [&](std::size_t item) {
+        const auto n = static_cast<std::uint32_t>(item);
         const std::vector<std::uint32_t> &slice = out.slices[n];
         const SystemSpec &node_sys = out.nodeSpecs[n];
 
@@ -132,7 +140,7 @@ solveNodePlans(const ModelSpec &model,
         // identically by accident while the cluster stays
         // reproducible.
         req.seed += n;
-        PlanResult solved = planner->plan(req);
+        PlanResult solved = planners[n]->plan(req);
         fatal_if(!solved.diag.feasible,
                  "planner '", options.plannerName,
                  "' found no feasible plan for node ", n,
@@ -189,9 +197,9 @@ solveNodePlans(const ModelSpec &model,
         }
 
         plan.validate(model, node_sys);
-        out.plans.push_back(std::move(plan));
-        out.diags.push_back(std::move(solved.diag));
-    }
+        out.plans[n] = std::move(plan);
+        out.diags[n] = std::move(solved.diag);
+    });
     return out;
 }
 

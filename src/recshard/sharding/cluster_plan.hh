@@ -80,6 +80,12 @@ struct ClusterPlanSet
  * table is placed wholly in UVM on node n's least-loaded GPU. Each
  * lifted plan is validated against its node's spec before return.
  *
+ * The node solves run concurrently on the parallelFor team
+ * (base/parallel.hh), each with its own planner instance, and node
+ * n writes only plans[n] and diags[n]: the plan set is the same bit
+ * for bit for any worker count. Parallel phases inside one node's
+ * solve run inline on that node's worker.
+ *
  * @param model    Model every node serves.
  * @param profiles Per-EMB training-data profiles (shared).
  * @param system   Per-node system spec shared by every node;

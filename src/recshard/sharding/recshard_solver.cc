@@ -19,9 +19,10 @@ constexpr std::uint32_t kLocalSearchRounds = 400;
 /**
  * Swap candidates from which one swap search prices on the
  * parallelFor team. A candidate walks two GPUs' block lists, about a
- * microsecond at 64 EMBs on 8 GPUs, so below this the team's start
- * (base/parallel.hh) would cost more than it saves; a serving
- * node's few EMBs never reach it.
+ * microsecond at 64 EMBs on 8 GPUs, so a few dozen candidates pay
+ * for waking the team (15-17 µs, base/parallel.hh); yet 32 here (and
+ * 8 for kParallelMinEmbs) left bench_micro BM_RecShardSolve/16 and
+ * /64 unchanged. A serving node's few EMBs never reach it.
  */
 constexpr std::size_t kParallelMinSwaps = 256;
 

@@ -69,8 +69,11 @@ struct EmbShardInput
 /**
  * EMB count from which the per-EMB solver phases (buildShardInputs
  * and the SplitWalker's increments) run on the parallelFor team.
- * Smaller universes, such as a serving node's few EMBs, stay on the
- * caller's thread, where they finish before a team would start.
+ * Smaller universes stay on the caller's thread: 8 here left
+ * bench_micro BM_RecShardSolve/16 unchanged against waking the team
+ * (15-17 µs, base/parallel.hh). A serving node's few EMBs are solved
+ * on a team worker by solveNodePlans, so its phases run inline
+ * anyway.
  */
 constexpr std::size_t kParallelMinEmbs = 64;
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * Unit tests for the base substrate: logging, RNG, statistics, units,
- * tables, and flag parsing.
+ * tables, flag parsing, and the parallelFor worker team.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -397,6 +398,137 @@ TEST(Parallel, RunsInlineBelowTheMinimumTeamSize)
         },
         101);
     EXPECT_EQ(calls, 100u);
+}
+
+/**
+ * Run `workers` items that each hold their thread until every item
+ * has started, so each team slot takes exactly one, and return the
+ * threads that ran them. Fails rather than hangs if the team never
+ * fills.
+ */
+std::set<std::thread::id>
+threadsOfAFullTeam(std::size_t workers)
+{
+    std::atomic<std::size_t> arrived{0};
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    parallelFor(workers, [&](std::size_t) {
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (arrived.load() < workers &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        const std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+    });
+    EXPECT_EQ(arrived.load(), workers);
+    return threads;
+}
+
+TEST(Parallel, TeamThreadsPersistAcrossCalls)
+{
+    const std::size_t workers = parallelWorkers(1 << 20);
+    const std::set<std::thread::id> first = threadsOfAFullTeam(workers);
+    EXPECT_EQ(first.size(), workers);
+    EXPECT_EQ(first.count(std::this_thread::get_id()), 1u);
+    // No thread is started per call: the next call runs on the same
+    // threads.
+    EXPECT_EQ(threadsOfAFullTeam(workers), first);
+}
+
+TEST(Parallel, NestedCallRunsInline)
+{
+    const std::size_t n = 8 * parallelWorkers(1 << 20);
+    std::vector<std::atomic<int>> visits(n * 100);
+    std::atomic<bool> moved{false};
+    parallelFor(n, [&](std::size_t i) {
+        const std::thread::id outer = std::this_thread::get_id();
+        parallelFor(100, [&](std::size_t w, std::size_t k) {
+            if (w != 0 || std::this_thread::get_id() != outer)
+                moved = true;
+            visits[i * 100 + k].fetch_add(1);
+        });
+    });
+    EXPECT_FALSE(moved.load());
+    for (std::size_t i = 0; i < visits.size(); ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+}
+
+TEST(Parallel, ConcurrentCallersEachVisitEveryIndexOnce)
+{
+    // One caller gets the team, the other runs inline (or each in
+    // turn gets it): either way every index of each call runs once.
+    constexpr std::size_t kItems = 5000;
+    constexpr int kRounds = 50;
+    std::vector<std::atomic<int>> visits[2] = {
+        std::vector<std::atomic<int>>(kItems),
+        std::vector<std::atomic<int>>(kItems)};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 2; ++c)
+        callers.emplace_back([&visits, c] {
+            for (int r = 0; r < kRounds; ++r)
+                parallelFor(kItems, [&](std::size_t i) {
+                    visits[c][i].fetch_add(1);
+                });
+        });
+    for (std::thread &t : callers)
+        t.join();
+    for (int c = 0; c < 2; ++c)
+        for (std::size_t i = 0; i < kItems; ++i)
+            EXPECT_EQ(visits[c][i].load(), kRounds)
+                << "caller " << c << " index " << i;
+}
+
+TEST(Parallel, ForkedChildRunsTeamCallsInline)
+{
+    // The parent's team exists before the fork; the child has none of
+    // its threads, so a team call there must run inline, not hang.
+    std::atomic<std::size_t> warm{0};
+    parallelFor(1000, [&](std::size_t) { warm.fetch_add(1); });
+    ASSERT_EQ(warm.load(), 1000u);
+    EXPECT_EXIT(
+        {
+            std::vector<int> visits(1000);
+            parallelFor(visits.size(),
+                        [&](std::size_t i) { ++visits[i]; });
+            const bool once = std::all_of(visits.begin(), visits.end(),
+                                          [](int v) { return v == 1; });
+            std::exit(once ? 0 : 2);
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Parallel, FatalInAnItemExitsWithOne)
+{
+    // A re-executed child starts its own team, so the fatal runs on
+    // one of its workers: std::exit must not wait on the caller or
+    // join the team.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto fatal_on_a_worker = [] {
+        const std::size_t n = 1000;
+        std::atomic<bool> fired{false};
+        parallelFor(n, [n, &fired](std::size_t w, std::size_t) {
+            if (parallelWorkers(n) == 1)
+                fatal("item failed on worker 0");
+            if (w != 0) {
+                // One fatal only: two threads in std::exit at once race.
+                if (!fired.exchange(true))
+                    fatal("item failed on worker > 0");
+                return;
+            }
+            const auto deadline = std::chrono::steady_clock::now() +
+                std::chrono::seconds(10);
+            while (std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            fatal("no worker took an item");
+        });
+    };
+    EXPECT_EXIT(fatal_on_a_worker(), ::testing::ExitedWithCode(1),
+                parallelWorkers(1000) == 1
+                    ? "item failed on worker 0"
+                    : "item failed on worker > 0");
 }
 
 } // namespace

@@ -223,6 +223,23 @@ foldBatch(std::uint64_t h, const FeatureBatch &fb)
     return h;
 }
 
+TEST(Dataset, DrawIntoAReusedBufferMatchesAFreshBatch)
+{
+    // The buffer is refilled from whatever the last draw left: a
+    // larger batch, a smaller one, another feature, an absent one.
+    const SyntheticDataset data(makeTinyModel(6, 3000, 7), 11);
+    FeatureBatch buffer;
+    for (const std::uint32_t samples : {256u, 3u, 64u, 1u, 512u}) {
+        for (std::uint32_t j = 0; j < 6; ++j) {
+            data.featureBatch(j, samples, samples + j, buffer);
+            const FeatureBatch fresh =
+                data.featureBatch(j, samples, samples + j);
+            EXPECT_EQ(buffer.offsets, fresh.offsets);
+            EXPECT_EQ(buffer.indices, fresh.indices);
+        }
+    }
+}
+
 // The exact bytes featureBatch emits. Profiles, plans, goldens and
 // every virtual metric derive from this stream, so a faster sampler
 // or hasher must reproduce it bit for bit; these checksums were

@@ -6,19 +6,25 @@
  * the milp adapter's no-incumbent reporting, lp-rounding's
  * MILP-size boundary, external self-registration, planner
  * selection by name in the pipeline, and heterogeneous per-node
- * cluster planning (a larger-HBM node must pin more hot rows).
+ * cluster planning (a larger-HBM node must pin more hot rows),
+ * and a golden of the three-tier cluster plan set, which node
+ * solves on any number of workers must reproduce bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/planner/registry.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/sharding/cluster_plan.hh"
+#include "recshard/tiering/topology.hh"
 
 namespace {
 
@@ -351,6 +357,78 @@ TEST(HeterogeneousCluster, AnyRegisteredPlannerSolvesNodeSlices)
             EXPECT_TRUE(rows == 0 ||
                         rows == model.features[j].hashSize);
         }
+    }
+}
+
+/** Node plan as "gpu:hbmRows:tier0/tier1/... " per table. */
+std::string
+renderNodePlan(const ShardingPlan &plan)
+{
+    std::ostringstream out;
+    for (const EmbPlacement &t : plan.tables) {
+        out << t.gpu << ':' << t.hbmRows << ':';
+        for (std::size_t k = 0; k < t.tierRows.size(); ++k)
+            out << (k ? "/" : "") << t.tierRows[k];
+        out << ' ';
+    }
+    return out.str();
+}
+
+/** A double's exact bits as a C++ hexfloat literal. */
+std::string
+hexfloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+}
+
+TEST(ClusterPlanGolden, ThreeTierNodePlansArePinned)
+{
+    // The perfbench serve-3tier cluster: 16 tables of 20000 rows at
+    // dim 128, 3 nodes of 2 GPUs with HBM 10% / DRAM 25% / SSD 100%
+    // of the model per node, profiled from seed 106.
+    ModelSpec model = makeTinyModel(16, 20000, 7);
+    for (auto &f : model.features)
+        f.dim = 128;
+    const auto per_gpu = [&](double frac) {
+        return static_cast<std::uint64_t>(
+            static_cast<double>(model.totalBytes()) * frac / 2);
+    };
+    const SystemSpec node = threeTierNode(2, per_gpu(0.10),
+                                          per_gpu(0.25), per_gpu(1.0),
+                                          false);
+    const auto profiles =
+        profileDataset(SyntheticDataset(model, 106), 30000);
+    ClusterPlanOptions cp;
+    cp.numNodes = 3;
+    const ClusterPlanSet set = solveNodePlans(model, profiles, node, cp);
+
+    // Captured from the serial node loop: tables in model order.
+    const char *const kPlans[] = {
+        "0:0:0/30/64 0:0:0/15/1 0:0:0/14/2 0:0:0/319/33 0:7456:7456/0/0 "
+        "0:0:0/14/2 0:0:0/2684/321 0:0:0/25122/97465 0:0:0/1484/2277 "
+        "0:1266:1266/0/0 0:0:0/15/1 1:15173:15173/1885/59486 0:0:0/12/4 "
+        "0:1227:1227/0/0 0:0:0/10291/282 1:0:0/38115/54940 ",
+        "1:94:94/0/0 0:0:0/15/1 1:16:16/0/0 0:0:0/319/33 0:0:0/1189/6267 "
+        "1:16:16/0/0 0:3005:3005/0/0 0:0:0/26730/95857 1:3761:3761/0/0 "
+        "0:0:0/496/770 1:16:16/0/0 1:0:0/11661/64883 0:0:0/12/4 "
+        "0:0:0/948/279 0:0:0/10291/282 1:0:0/28339/64716 ",
+        "1:0:0/36/58 1:16:16/0/0 1:0:0/16/0 1:352:352/0/0 1:0:0/2291/5165 "
+        "1:0:0/14/2 1:0:0/3003/2 1:5509:5509/31222/85856 1:0:0/1484/2277 "
+        "1:0:0/496/770 1:0:0/15/1 0:0:0/17494/59050 1:16:16/0/0 "
+        "1:0:0/948/279 1:10098:10098/475/0 0:15679:15679/22506/54870 ",
+    };
+    const double kBottleneck[] = {0x1.31c77df730a21p-10,
+                                  0x1.bb2d8aea5bea7p-12,
+                                  0x1.7358d8f653d41p-8};
+    ASSERT_EQ(set.plans.size(), 3u);
+    ASSERT_EQ(set.diags.size(), 3u);
+    for (std::size_t n = 0; n < 3; ++n) {
+        SCOPED_TRACE("node " + std::to_string(n));
+        EXPECT_EQ(renderNodePlan(set.plans[n]), kPlans[n]);
+        EXPECT_EQ(hexfloat(set.diags[n].bottleneckCost),
+                  hexfloat(kBottleneck[n]));
     }
 }
 

@@ -519,6 +519,35 @@ TEST(RoutedTrace, ParallelBuildersMatchASerialReference)
     EXPECT_EQ(data.month(), 3u);
 }
 
+TEST(RoutedTrace, LookupVectorsHoldTheirDataSize)
+{
+    // A trace is held for as long as it is served, so its vectors
+    // keep no slack beyond their rows (the draw reserves for a
+    // generous pooling guess).
+    DriftingTraceSetup fx;
+    for (const std::uint32_t months : {0u, 3u}) {
+        SCOPED_TRACE("months " + std::to_string(months));
+        DriftTraceSchedule schedule;
+        schedule.months = months ? months : 1;
+        const RoutedTrace trace = months
+            ? materializeDriftingRoutedTrace(fx.data, fx.load, 600,
+                                             schedule)
+            : materializeRoutedTrace(fx.data, fx.load, 600);
+        std::uint64_t lookups = 0;
+        for (const RoutedQuery &rq : trace.queries) {
+            for (std::size_t j = 0; j < rq.lookups.size(); ++j) {
+                EXPECT_EQ(rq.lookups[j].capacity(), rq.lookups[j].size())
+                    << "query " << rq.query.id << " feature " << j;
+                EXPECT_EQ(rq.sampleOffsets[j].capacity(),
+                          rq.sampleOffsets[j].size())
+                    << "query " << rq.query.id << " feature " << j;
+                lookups += rq.lookups[j].size();
+            }
+        }
+        EXPECT_GT(lookups, 0u);
+    }
+}
+
 // ----------------------------------------- hedge latency window
 
 TEST(LatencyWindow, FillPhaseAppendsInOrder)
