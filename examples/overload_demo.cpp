@@ -1,12 +1,12 @@
 /**
  * @file
- * Overload-control demo: the routed pipeline (phase 5) pushed past
- * saturation with degraded-mode serving switched on.
+ * Overload-control demo: a routed cluster pushed past saturation
+ * with degraded-mode serving switched on.
  *
- * Profiles a small model, builds a three-node cluster, then routes
- * a query trace at roughly twice what the cluster can serve —
- * first with the historical admit-everything router, then with
- * queue-threshold admission and degraded-mode serving. The point
+ * Profiles a small model once, builds a three-node cluster, then
+ * routes one query trace at roughly twice what the cluster can
+ * serve — first with the historical admit-everything router, then
+ * with queue-threshold admission and degraded-mode serving. The point
  * the two tables make: under overload the uncontrolled router's
  * p99 is queueing delay, not serving speed, while the controlled
  * run keeps served queries inside the SLA by shrinking their
@@ -22,8 +22,9 @@
 
 #include "recshard/base/table.hh"
 #include "recshard/base/units.hh"
-#include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
+#include "recshard/profiler/profiler.hh"
+#include "recshard/routing/router.hh"
 
 using namespace recshard;
 
@@ -67,49 +68,46 @@ main()
         model.totalBytes() / 5 / system.numGpus;
     system.uvm.capacityBytes = model.totalBytes();
 
-    PipelineOptions opts;
-    opts.profileSamples = 30000;
-    opts.evaluateRouting = true;
-    opts.routing.numNodes = 3;
-    opts.routing.numQueries = 5000;
+    ClusterPlanOptions cp;
+    cp.numNodes = 3;
+    const RoutingCluster cluster = buildRoutingCluster(
+        model, profileDataset(data, 30000), system, cp);
+
     // Roughly 2x this cluster's capacity for the trace below —
     // deep enough into overload that the two runs tell different
     // stories (bench_overload_control measures the exact
     // saturation rate instead of eyeballing it).
-    opts.routing.load.qps = 500000.0;
-    opts.routing.load.seed = 99;
-    opts.routing.router.policy = RoutingPolicy::LeastOutstanding;
-    opts.routing.router.server.cacheRows = 500;
-    opts.routing.router.server.batchOverheadSeconds = 5e-6;
-    opts.routing.router.slaSeconds = 0.001;
+    LoadConfig load;
+    load.qps = 500000.0;
+    load.seed = 99;
+    const RoutedTrace trace = materializeRoutedTrace(data, load, 5000);
 
-    std::cout << "Cluster: " << opts.routing.numNodes
+    RouterConfig rc;
+    rc.policy = RoutingPolicy::LeastOutstanding;
+    rc.server.cacheRows = 500;
+    rc.server.batchOverheadSeconds = 5e-6;
+    rc.slaSeconds = 0.001;
+
+    std::cout << "Cluster: " << cp.numNodes
               << " nodes x " << system.numGpus
               << " GPUs serving "
               << formatBytes(model.totalBytes())
               << " of EMBs, offered "
-              << fmtDouble(opts.routing.load.qps, 0) << " QPS\n\n";
+              << fmtDouble(load.qps, 0) << " QPS\n\n";
 
     // Run 1: the historical router — every query admitted at full
     // fidelity, queues left to grow.
-    {
-        const RecShardPipeline pipeline(data, system, opts);
-        printReport(pipeline.run().routing,
-                    "Admit-all under overload");
-    }
+    printReport(Router(model, cluster, rc).route(trace),
+                "Admit-all under overload");
 
     // Run 2: queue-threshold admission + degraded-mode serving
     // with the brownout->blackout backstop.
-    {
-        PipelineOptions controlled = opts;
-        auto &overload = controlled.routing.router.overload;
-        overload.admission.policy = "queue-threshold";
-        overload.admission.maxOutstanding = 32;
-        overload.degradation.enabled = true;
-        overload.degradation.shedPressure = 3.0;
-        const RecShardPipeline pipeline(data, system, controlled);
-        printReport(pipeline.run().routing,
-                    "Queue-threshold + degraded-mode serving");
-    }
+    RouterConfig controlled = rc;
+    controlled.overload.admission.policy = "queue-threshold";
+    controlled.overload.admission.maxOutstanding = 32;
+    controlled.overload.degradation.enabled = true;
+    controlled.overload.degradation.shedPressure = 3.0;
+    printReport(Router(model, cluster, controlled).route(trace),
+                "Queue-threshold + degraded-mode serving");
     return 0;
 }

@@ -1,12 +1,11 @@
 /**
  * @file
- * Multi-node routing demo: the full pipeline with phase 5 enabled.
+ * Multi-node routing demo: one routed cluster, start to finish.
  *
- * Profiles a small model, solves the single-node plan (phases 1-3),
- * then slices the tables across a three-node cluster, solves one
- * plan per node, and routes an online query trace through the
- * cluster with locality-aware routing and request hedging — the
- * one-call version of what bench_routing_policies measures
+ * Profiles a small model, slices the tables across a three-node
+ * cluster, solves one plan per node, and routes an online query
+ * trace through the cluster with locality-aware routing and request
+ * hedging — one combination of what bench_routing_policies measures
  * combination by combination.
  *
  * Build and run:
@@ -18,8 +17,9 @@
 
 #include "recshard/base/table.hh"
 #include "recshard/base/units.hh"
-#include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
+#include "recshard/profiler/profiler.hh"
+#include "recshard/routing/router.hh"
 
 using namespace recshard;
 
@@ -36,24 +36,25 @@ main()
         model.totalBytes() / 5 / system.numGpus;
     system.uvm.capacityBytes = model.totalBytes();
 
-    PipelineOptions opts;
-    opts.profileSamples = 30000;
-    opts.evaluateRouting = true;
-    opts.routing.numNodes = 3;
-    opts.routing.numQueries = 5000;
-    opts.routing.load.qps = 180000.0;
-    opts.routing.load.seed = 99;
-    opts.routing.router.policy = RoutingPolicy::LocalityAware;
-    opts.routing.router.hedge.enabled = true;
-    opts.routing.router.server.cacheRows = 500;
-    opts.routing.router.server.batchOverheadSeconds = 5e-6;
-    opts.routing.router.slaSeconds = 0.001;
+    ClusterPlanOptions cp;
+    cp.numNodes = 3;
+    const RoutingCluster cluster = buildRoutingCluster(
+        model, profileDataset(data, 30000), system, cp);
 
-    const RecShardPipeline pipeline(data, system, opts);
-    const PipelineResult result = pipeline.run();
-    const RoutingReport &r = result.routing;
+    LoadConfig load;
+    load.qps = 180000.0;
+    load.seed = 99;
+    const RoutedTrace trace = materializeRoutedTrace(data, load, 5000);
 
-    std::cout << "Cluster: " << opts.routing.numNodes
+    RouterConfig rc;
+    rc.policy = RoutingPolicy::LocalityAware;
+    rc.hedge.enabled = true;
+    rc.server.cacheRows = 500;
+    rc.server.batchOverheadSeconds = 5e-6;
+    rc.slaSeconds = 0.001;
+    const RoutingReport r = Router(model, cluster, rc).route(trace);
+
+    std::cout << "Cluster: " << cp.numNodes
               << " nodes x " << system.numGpus
               << " GPUs serving "
               << formatBytes(model.totalBytes())
@@ -84,9 +85,6 @@ main()
     std::cout << "\nPer-node dispatches:";
     for (std::size_t n = 0; n < r.nodeQueries.size(); ++n)
         std::cout << " node" << n << "=" << r.nodeQueries[n];
-    std::cout << "\nPhase timings: profile "
-              << formatSeconds(result.profileSeconds) << ", solve "
-              << formatSeconds(result.solveSeconds) << ", routing "
-              << formatSeconds(result.routingSeconds) << "\n";
+    std::cout << "\n";
     return 0;
 }

@@ -4,10 +4,10 @@
  *
  * Walks the online-serving subsystem end to end:
  *   1. solve a RecShard plan for a capacity-constrained 2-GPU
- *      system (the usual pipeline), asking the pipeline to run its
- *      serving phase,
- *   2. read the plan's live-traffic report: QPS, p50/p95/p99
- *      latency, queue depth, SLA violations,
+ *      system (the usual pipeline),
+ *   2. serve live traffic on it (serveTraffic) and read the
+ *      report: QPS, p50/p95/p99 latency, queue depth, SLA
+ *      violations,
  *   3. show what dynamic batching buys by re-serving the same load
  *      with batching effectively disabled,
  *   4. show what the LRU hot-row cache buys the size-greedy
@@ -22,6 +22,7 @@
 #include "recshard/base/units.hh"
 #include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
+#include "recshard/serving/serving.hh"
 #include "recshard/sharding/baselines.hh"
 
 using namespace recshard;
@@ -59,35 +60,37 @@ main()
     // server that refuses to batch needs 50 us per *query* and
     // saturates near 20k QPS, so batching is what keeps the system
     // stable at this load.
-    PipelineOptions options;
-    options.profileSamples = 30000;
-    options.evaluateServing = true;
-    options.serving.load.qps = 22000.0;
-    options.serving.load.seed = 99;
-    options.serving.numQueries = 20000;
-    options.serving.batching.maxWaitSeconds = 0.002;
-    options.serving.server.batchOverheadSeconds = 50e-6;
-    options.serving.slaSeconds = 0.005;
+    ServingConfig serving;
+    serving.load.qps = 22000.0;
+    serving.load.seed = 99;
+    serving.numQueries = 20000;
+    serving.batching.maxWaitSeconds = 0.002;
+    serving.server.batchOverheadSeconds = 50e-6;
+    serving.slaSeconds = 0.005;
 
     std::cout << "Model: " << formatBytes(model.totalBytes())
               << "; per-GPU HBM budget "
               << formatBytes(system.hbm.capacityBytes)
               << "; serving "
-              << options.serving.numQueries << " queries at "
-              << options.serving.load.qps << " QPS\n\n";
+              << serving.numQueries << " queries at "
+              << serving.load.qps << " QPS\n\n";
 
-    // 2. Pipeline with phase 4 (serving) enabled.
+    // 2. Pipeline phases 1-3, then the plan under live traffic.
+    PipelineOptions options;
+    options.profileSamples = 30000;
     const PipelineResult result =
         RecShardPipeline(data, system, options).run();
+    const ServingReport recshard = serveTraffic(
+        data, result.plan, result.resolvers, system, serving);
 
     TextTable t({"Configuration", "QPS", "p50", "p99", "mean depth",
                  "cache hit", "SLA viol"});
-    addReportRow(t, "RecShard + batching", result.serving);
+    addReportRow(t, "RecShard + batching", recshard);
 
     // 3. Same plan, batching effectively off: every query pays the
     //    kernel launch alone, the servers saturate, and the queue
     //    (and tail latency) diverges.
-    ServingConfig no_batch = options.serving;
+    ServingConfig no_batch = serving;
     no_batch.batching.maxBatchQueries = 1;
     no_batch.batching.maxBatchSamples = 1;
     addReportRow(t, "RecShard, no batching",
@@ -103,18 +106,16 @@ main()
         model, baseline, result.profiles);
     addReportRow(t, "Size-Based",
                  serveTraffic(data, baseline, base_resolvers, system,
-                              options.serving));
-    ServingConfig cached = options.serving;
+                              serving));
+    ServingConfig cached = serving;
     cached.server.cacheRows = 4000;
     addReportRow(t, "Size-Based + 4k LRU",
                  serveTraffic(data, baseline, base_resolvers, system,
                               cached));
 
     t.print(std::cout, "Serving the same live traffic");
-    std::cout << "\nServing phase took "
-              << formatSeconds(result.servingSeconds)
-              << " of wall clock for "
-              << result.serving.queries << " queries across "
-              << result.serving.batches << " micro-batches.\n";
+    std::cout << "\nRecShard + batching served " << recshard.queries
+              << " queries across " << recshard.batches
+              << " micro-batches.\n";
     return 0;
 }

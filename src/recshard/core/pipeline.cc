@@ -71,82 +71,6 @@ RecShardPipeline::run() const
             result.remapStorageBytes += hash_size * 4;
     }
     result.remapSeconds = secondsSince(t0);
-
-    // Phase 4 (optional): the plan under online request load. The
-    // pipeline owns the phase-1 profiles, so a "cdf-gated" cache
-    // admission policy is wired to them automatically unless the
-    // caller supplied CDFs of their own.
-    if (opts.evaluateServing) {
-        t0 = Clock::now();
-        ServingConfig serving = opts.serving;
-        if (serving.server.admission.cdfs.empty())
-            serving.server.admission.cdfs =
-                collectCdfs(result.profiles);
-        result.serving = serveTraffic(data, result.plan,
-                                      result.resolvers, sys,
-                                      serving);
-        result.servingSeconds = secondsSince(t0);
-    }
-
-    // Phase 5 (optional): a multi-node cluster under routed load
-    // with overload control (admission + degraded-mode serving).
-    if (opts.evaluateRouting) {
-        t0 = Clock::now();
-        // Fail fast on a bad overload config — name *and* knobs —
-        // before paying for cluster solving (the Router would only
-        // re-validate after every node's plan is solved).
-        const std::uint32_t nodes = opts.routing.nodeSpecs.empty()
-            ? opts.routing.numNodes
-            : static_cast<std::uint32_t>(
-                  opts.routing.nodeSpecs.size());
-        makeAdmissionController(
-            opts.routing.router.overload.admission, nodes,
-            opts.routing.router.slaSeconds);
-        (void)DegradationPolicy(
-            opts.routing.router.overload.degradation);
-        ClusterPlanOptions cp;
-        cp.numNodes = opts.routing.numNodes;
-        cp.nodeSpecs = opts.routing.nodeSpecs;
-        cp.solver = opts.solver;
-        cp.milp = opts.milp;
-        const RoutingCluster cluster = buildRoutingCluster(
-            data.spec(), result.profiles, sys, cp);
-        const RoutedTrace trace = materializeRoutedTrace(
-            data, opts.routing.load, opts.routing.numQueries);
-        RouterConfig rc = opts.routing.router;
-        if (rc.server.admission.cdfs.empty())
-            rc.server.admission.cdfs =
-                collectCdfs(result.profiles);
-        result.routing =
-            Router(data.spec(), cluster, rc).route(trace);
-        result.routingSeconds = secondsSince(t0);
-    }
-
-    // Phase 6 (optional): the same cluster shape under a drifting
-    // trace with the replanning feedback loop closed (replan/).
-    if (opts.evaluateReplanning) {
-        t0 = Clock::now();
-        ClusterPlanOptions cp;
-        cp.numNodes = opts.replanning.numNodes;
-        cp.nodeSpecs = opts.replanning.nodeSpecs;
-        cp.solver = opts.solver;
-        cp.milp = opts.milp;
-        const RoutingCluster cluster = buildRoutingCluster(
-            data.spec(), result.profiles, sys, cp);
-        // The pipeline's dataset is shared and const; the drifting
-        // trace sweeps months on a copy (cheap: spec + seed).
-        SyntheticDataset drifting = data;
-        const RoutedTrace trace = materializeDriftingRoutedTrace(
-            drifting, opts.replanning.load,
-            opts.replanning.numQueries, opts.replanning.schedule);
-        ReplanConfig rc = opts.replanning.replan;
-        if (rc.server.admission.cdfs.empty())
-            rc.server.admission.cdfs =
-                collectCdfs(result.profiles);
-        result.replan = LiveReplanServer(data.spec(), cluster, rc)
-                            .serve(trace);
-        result.replanSeconds = secondsSince(t0);
-    }
     return result;
 }
 

@@ -9,6 +9,13 @@
 
 namespace recshard {
 
+namespace {
+
+/** Amplitude of DriftModel's seasonal wiggle. */
+constexpr double kWiggleAmplitude = 0.012;
+
+} // namespace
+
 std::uint32_t
 FeatureBatch::presentSamples() const
 {
@@ -25,7 +32,7 @@ DriftModel::multiplier(FeatureKind kind, std::uint32_t month) const
         ? userSlopePerMonth : contentSlopePerMonth;
     const double phase = kind == FeatureKind::User ? 0.0 : 1.3;
     return 1.0 + slope * month +
-        wiggleAmplitude * std::sin(0.9 * month + phase);
+        kWiggleAmplitude * std::sin(0.9 * month + phase);
 }
 
 std::uint64_t

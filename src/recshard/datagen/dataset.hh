@@ -69,7 +69,6 @@ struct DriftModel
 {
     double userSlopePerMonth = 0.0050;
     double contentSlopePerMonth = 0.0022;
-    double wiggleAmplitude = 0.012;
     /**
      * Popularity churn: fraction of a feature's raw value space the
      * Zipf ranking rotates per month, so *which* values are hot

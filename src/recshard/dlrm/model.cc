@@ -10,6 +10,10 @@ namespace recshard {
 
 namespace {
 
+/** Width of the one hidden layer in each of the bottom and top
+ *  MLPs. */
+constexpr std::uint32_t kHiddenWidth = 32;
+
 inline float
 sigmoidf(float x)
 {
@@ -76,22 +80,14 @@ SyntheticLabeler::label(const SyntheticDataset &data,
 DlrmModel::DlrmModel(const ModelSpec &spec, const DlrmConfig &config)
     : cfg(config), numFeatures(spec.numFeatures()),
       bottom([&] {
-          std::vector<std::uint32_t> dims{cfg.numDense};
-          dims.insert(dims.end(), cfg.bottomHidden.begin(),
-                      cfg.bottomHidden.end());
-          dims.push_back(cfg.embDim);
           Rng rng(cfg.seed ^ 0xb0b0ULL);
-          return Mlp(dims, rng);
+          return Mlp({cfg.numDense, kHiddenWidth, cfg.embDim}, rng);
       }()),
       top([&] {
           const std::uint32_t pairs =
               (spec.numFeatures() + 1) * spec.numFeatures() / 2;
-          std::vector<std::uint32_t> dims{cfg.embDim + pairs};
-          dims.insert(dims.end(), cfg.topHidden.begin(),
-                      cfg.topHidden.end());
-          dims.push_back(1);
           Rng rng(cfg.seed ^ 0x70f0ULL);
-          return Mlp(dims, rng);
+          return Mlp({cfg.embDim + pairs, kHiddenWidth, 1}, rng);
       }())
 {
     Rng emb_rng(cfg.seed ^ 0xe3bULL);

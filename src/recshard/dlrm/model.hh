@@ -26,8 +26,6 @@ struct DlrmConfig
 {
     std::uint32_t numDense = 13;  //!< dense-feature width
     std::uint32_t embDim = 8;     //!< must match the model spec dims
-    std::vector<std::uint32_t> bottomHidden = {32};
-    std::vector<std::uint32_t> topHidden = {32};
     float learningRate = 0.05f;
     std::uint64_t seed = 1;
 };

@@ -119,13 +119,6 @@ EmbCostModel::tierBandwidth(std::size_t i) const
     return tierBw[i];
 }
 
-double
-EmbCostModel::tierLatency(std::size_t i) const
-{
-    panic_if(i >= tierLat.size(), "tier index ", i, " out of range");
-    return tierLat[i];
-}
-
 bool
 EmbCostModel::tierNearData(std::size_t i) const
 {

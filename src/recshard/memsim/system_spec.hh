@@ -115,12 +115,6 @@ struct SystemSpec
             hbm.capacityBytes;
     }
 
-    std::uint64_t totalUvmBytes() const
-    {
-        return static_cast<std::uint64_t>(numGpus) *
-            uvm.capacityBytes;
-    }
-
     /** Per-GPU capacity of every tier below HBM (uvm + cold). */
     std::uint64_t coldCapacityBytes() const;
 };
@@ -193,7 +187,6 @@ class EmbCostModel
 
     std::size_t numTiers() const { return tierBw.size(); }
     double tierBandwidth(std::size_t i) const;
-    double tierLatency(std::size_t i) const;
     bool tierNearData(std::size_t i) const;
     double hbmBandwidth() const { return tierBw[0]; }
     double uvmBandwidth() const { return tierBw[1]; }

@@ -12,6 +12,9 @@ namespace recshard {
 
 namespace {
 
+/** A variable within this distance of an integer counts as one. */
+constexpr double kIntTol = 1e-6;
+
 /** One open subproblem: bound overrides plus its parent's bound. */
 struct Node
 {
@@ -66,7 +69,7 @@ MilpSolver::solve() const
 
     auto fractional_var = [&](const std::vector<double> &x) {
         int best = -1;
-        double best_frac = opts.intTol;
+        double best_frac = kIntTol;
         for (int v : intVars) {
             const double f = x[v] - std::floor(x[v]);
             const double dist = std::min(f, 1.0 - f);

@@ -31,8 +31,6 @@ struct MilpOptions
     std::uint64_t nodeLimit = 200000;
     /** Wall-clock budget in seconds (<= 0 disables). */
     double timeLimitSec = 60.0;
-    /** Integrality tolerance. */
-    double intTol = 1e-6;
     /** Try rounding the relaxation to seed the incumbent. */
     bool roundingHeuristic = true;
 };

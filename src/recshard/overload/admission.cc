@@ -140,12 +140,4 @@ deriveQueueBound(double sla_seconds, double mean_service_seconds)
                                       mean_service_seconds));
 }
 
-const std::vector<std::string> &
-admissionControllerNames()
-{
-    static const std::vector<std::string> names = {
-        "admit-all", "queue-threshold", "adaptive"};
-    return names;
-}
-
 } // namespace recshard

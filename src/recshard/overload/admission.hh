@@ -41,8 +41,8 @@
  * ranking-candidate count by a pressure-selected tier.
  *
  * Controllers are selected by name, the same way planners and cache
- * admission policies are, so the pipeline, report harness, and
- * benches can sweep them uniformly. All state is updated from the
+ * admission policies are, so the router, the live-replan server and
+ * the benches can sweep them uniformly. All state is updated from the
  * serving kernel's single-threaded virtual-time loop; controllers
  * never see wall-clock time, so verdicts are deterministic. The
  * real-time backend (routing/realtime.hh) never consults one: it
@@ -154,9 +154,6 @@ std::unique_ptr<AdmissionController>
 makeAdmissionController(const AdmissionConfig &config,
                         std::uint32_t num_nodes,
                         double sla_seconds);
-
-/** Registered controller names, in documentation order. */
-const std::vector<std::string> &admissionControllerNames();
 
 /**
  * SLA-derived queue-threshold bound: spend about a third of the

@@ -4,11 +4,16 @@
 
 namespace recshard {
 
+namespace {
+
+/** EWMA smoothing of the per-dispatch hit fraction. */
+constexpr double kEwmaAlpha = 0.02;
+
+} // namespace
+
 void
 DriftConfig::validate() const
 {
-    fatal_if(ewmaAlpha <= 0.0 || ewmaAlpha > 1.0,
-             "drift EWMA alpha ", ewmaAlpha, " outside (0, 1]");
     fatal_if(hitDropThreshold <= 0.0,
              "drift hit-drop threshold must be positive");
     fatal_if(minQueries == 0,
@@ -45,7 +50,7 @@ DriftDetector::observe(std::uint64_t hbm_accesses,
         }
         return;
     }
-    ewma += cfg.ewmaAlpha * (frac - ewma);
+    ewma += kEwmaAlpha * (frac - ewma);
 }
 
 void

@@ -26,8 +26,6 @@ namespace recshard {
 /** Drift-trigger knobs (per node). */
 struct DriftConfig
 {
-    /** EWMA smoothing of the per-dispatch hit fraction. */
-    double ewmaAlpha = 0.02;
     /** Absolute hit-fraction drop below baseline that triggers a
      *  replan assessment. */
     double hitDropThreshold = 0.04;
@@ -67,7 +65,6 @@ class DriftDetector
             ewma < baselineV - cfg.hitDropThreshold;
     }
 
-    double hitEwma() const { return ewma; }
     double baseline() const { return baselineV; }
 
   private:

@@ -32,8 +32,6 @@ struct NodeReplan
     ShardingPlan target;
     /** A migration step currently occupies the node's GPUs. */
     bool stepInFlight = false;
-    /** Earliest virtual time the next step may start. */
-    double nextStepOk = 0.0;
 };
 
 /** One serve() call: the serving kernel plus the replan loop. */
@@ -160,10 +158,9 @@ ReplanRun::closeEpoch(double end)
 }
 
 // Start the next migration step iff the node is fully idle: no
-// running query, no pending queries, no step already in flight, and
-// the inter-step gap elapsed. This is what subordinates migration
-// to serving — a node with any queued work never spends a second
-// migrating.
+// running query, no pending queries and no step already in flight.
+// This is what subordinates migration to serving — a node with any
+// queued work never spends a second migrating.
 void
 ReplanRun::maybeStartStep(std::uint32_t n, double now)
 {
@@ -172,10 +169,6 @@ ReplanRun::maybeStartStep(std::uint32_t n, double now)
         return;
     if (nodes[n].busy() || nodes[n].hasPending())
         return;
-    if (now < nr.nextStepOk) {
-        schedule(nr.nextStepOk, EventKind::MigrationKick, 0, n);
-        return;
-    }
     nr.stepInFlight = true;
     epoch.migrationActive = true;
     const double dt = nr.migration->stepSeconds(nr.cost);
@@ -196,7 +189,6 @@ ReplanRun::onEvent(const Event &e)
              " with no step in flight");
     nr.migration->commitFront();
     nr.stepInFlight = false;
-    nr.nextStepOk = e.time + nr.migration->minStepGapSeconds();
     if (nr.migration->done()) {
         r.migrationSteps += nr.migration->totalSteps();
         r.migratedRows += nr.migration->rowsPinned() +

@@ -13,8 +13,6 @@ MigrationConfig::validate() const
     fatal_if(rowsPerStep == 0, "migration steps must move rows");
     fatal_if(stepOverheadSeconds < 0.0,
              "migration step overhead cannot be negative");
-    fatal_if(minStepGapSeconds < 0.0,
-             "migration step gap cannot be negative");
 }
 
 PlanMigration::PlanMigration(const ModelSpec &model,

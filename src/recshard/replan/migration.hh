@@ -44,8 +44,6 @@ struct MigrationConfig
     std::uint64_t rowsPerStep = 512;
     /** Fixed per-step overhead (kernel launch + bookkeeping). */
     double stepOverheadSeconds = 20e-6;
-    /** Minimum idle gap between consecutive steps on one node. */
-    double minStepGapSeconds = 0.0;
 
     void validate() const;
 };
@@ -104,11 +102,6 @@ class PlanMigration
     /** Apply the front step's repins to the live resolvers. */
     void commitFront();
 
-    const std::vector<MigrationStep> &allSteps() const
-    {
-        return steps;
-    }
-
     std::uint64_t totalSteps() const { return steps.size(); }
     std::uint64_t stepsCommitted() const { return next; }
     std::uint64_t rowsPinned() const { return pinned; }
@@ -125,11 +118,6 @@ class PlanMigration
     tierRowsAfter(std::uint32_t table) const
     {
         return tierRowsAfterV[table];
-    }
-
-    double minStepGapSeconds() const
-    {
-        return cfg.minStepGapSeconds;
     }
 
   private:

@@ -9,6 +9,9 @@ namespace recshard {
 
 namespace {
 
+/** KMV sample size for the distinct-row estimate. */
+constexpr std::uint32_t kKmvSize = 256;
+
 /** Stateless 64-bit mix (SplitMix64 finalizer) for sketch hashing. */
 std::uint64_t
 mix64(std::uint64_t x)
@@ -48,7 +51,6 @@ SketchConfig::validate() const
     fatal_if(topK == 0, "top-k candidate set cannot be empty");
     fatal_if(pruneInterval == 0,
              "candidate prune interval must be >= 1");
-    fatal_if(kmvSize < 2, "KMV needs >= 2 minimum values");
 }
 
 RowFrequencySketch::RowFrequencySketch(std::uint64_t hash_size,
@@ -97,9 +99,9 @@ RowFrequencySketch::observe(std::uint64_t row)
         candidates.emplace(row, raised);
     }
 
-    // KMV distinct estimate: retain the kmvSize smallest hashes.
+    // KMV distinct estimate: retain the kKmvSize smallest hashes.
     const std::uint64_t h = mix64(row ^ 0x2545f4914f6cdd1dULL);
-    if (kmv.size() < cfg.kmvSize) {
+    if (kmv.size() < kKmvSize) {
         if (kmv.insert(h).second)
             kmvMax = std::max(kmvMax, h);
     } else if (h < kmvMax && kmv.insert(h).second) {
@@ -158,7 +160,7 @@ RowFrequencySketch::estimate(std::uint64_t row) const
 double
 RowFrequencySketch::distinctEstimate() const
 {
-    if (kmv.size() < cfg.kmvSize)
+    if (kmv.size() < kKmvSize)
         return static_cast<double>(kmv.size());
     // k-th minimum of k uniform hashes at fraction kmvMax / 2^64:
     // distinct ~= (k - 1) / that fraction.
@@ -166,7 +168,7 @@ RowFrequencySketch::distinctEstimate() const
         18446744073709551616.0; // 2^64
     if (frac <= 0.0)
         return static_cast<double>(kmv.size());
-    return static_cast<double>(cfg.kmvSize - 1) / frac;
+    return static_cast<double>(kKmvSize - 1) / frac;
 }
 
 FrequencyCdf
@@ -270,7 +272,6 @@ LiveProfiler::observeQuery(const RoutedQuery &query,
              "query ", query.query.id, " offers ",
              query.query.samples, " candidates; cannot observe ",
              kept);
-    ++queriesV;
     for (std::uint32_t j = 0; j < sketches.size(); ++j) {
         const auto &offsets = query.sampleOffsets[j];
         const std::uint32_t limit = offsets[kept];
@@ -316,7 +317,6 @@ LiveProfiler::decay()
         t.presentSamples >>= 1;
         t.lookups >>= 1;
     }
-    queriesV >>= 1;
 }
 
 } // namespace recshard

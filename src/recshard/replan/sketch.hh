@@ -55,8 +55,6 @@ struct SketchConfig
      *  topK + pruneInterval entries, keeping observe() O(1)
      *  amortized. */
     std::uint32_t pruneInterval = 4096;
-    /** KMV sample size for the distinct-row estimate. */
-    std::uint32_t kmvSize = 256;
 
     void validate() const;
 };
@@ -78,7 +76,8 @@ class RowFrequencySketch
      *  current decay epoch). */
     std::uint64_t estimate(std::uint64_t row) const;
 
-    /** Estimated distinct rows observed (exact below kmvSize). */
+    /** Estimated distinct rows observed (exact below the KMV sample
+     *  size, 256). */
     double distinctEstimate() const;
 
     /** Tracked hot candidates (bounded by topK + pruneInterval). */
@@ -106,7 +105,7 @@ class RowFrequencySketch
     std::uint64_t admitThreshold = 1;
     std::uint64_t sincePrune = 0;
     std::uint64_t total = 0;
-    /** KMV: the kmvSize smallest 64-bit hashes of distinct rows. */
+    /** KMV: the 256 smallest 64-bit hashes of distinct rows. */
     std::unordered_set<std::uint64_t> kmv;
     std::uint64_t kmvMax = 0;
 };
@@ -133,9 +132,6 @@ class LiveProfiler
      *  output. */
     std::vector<EmbProfile> exportProfiles() const;
 
-    /** Queries observed since construction or the last decay. */
-    std::uint64_t queriesObserved() const { return queriesV; }
-
     const RowFrequencySketch &sketch(std::uint32_t table) const
     {
         return sketches[table];
@@ -155,7 +151,6 @@ class LiveProfiler
     const ModelSpec &model;
     std::vector<RowFrequencySketch> sketches;
     std::vector<Tally> tallies;
-    std::uint64_t queriesV = 0;
 };
 
 } // namespace recshard

@@ -8,6 +8,9 @@ namespace recshard {
 
 namespace {
 
+/** Completed-query latencies the hedge quantile is computed over. */
+constexpr std::uint64_t kHedgeWindowSize = 512;
+
 /** One route() call: the serving kernel plus request hedging. */
 class HedgedRun final : public ServingKernel
 {
@@ -18,7 +21,7 @@ class HedgedRun final : public ServingKernel
                         cluster.resolvers, trace, config.policy,
                         config.localityLoadPenalty, config.overload,
                         config.server, config.slaSeconds),
-          cfg(config.hedge), window(cfg.windowSize),
+          cfg(config.hedge), window(kHedgeWindowSize),
           armAfter(std::max<std::uint64_t>(cfg.minSamples, 1)),
           hedgeNode(trace.queries.size(), kNoNode)
     {
@@ -66,8 +69,7 @@ class HedgedRun final : public ServingKernel
         window.push(latency);
         if (++sinceRefresh >= cfg.refreshInterval ||
             latencies.size() == armAfter) {
-            hedgeDelay = std::max(cfg.minDelaySeconds,
-                                  window.quantile(cfg.quantile));
+            hedgeDelay = window.quantile(cfg.quantile);
             sinceRefresh = 0;
         }
         if (hedgeNode[e.query] == kNoNode)
@@ -191,8 +193,6 @@ Router::Router(const ModelSpec &model_,
     fatal_if(cfg.hedge.quantile < 0.0 || cfg.hedge.quantile > 1.0,
              "hedge quantile ", cfg.hedge.quantile,
              " outside [0,1]");
-    fatal_if(cfg.hedge.windowSize == 0,
-             "hedge latency window cannot be empty");
     fatal_if(cfg.hedge.refreshInterval == 0,
              "hedge-delay refresh interval must be >= 1");
     // Fail fast on a bad overload config: both are rebuilt (and

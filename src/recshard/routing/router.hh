@@ -44,10 +44,6 @@ struct HedgeConfig
     /** Completed queries observed before hedging arms (the delay
      *  estimate needs a latency distribution to quantile). */
     std::uint64_t minSamples = 64;
-    /** Floor on the hedge delay (guards a degenerate quantile). */
-    double minDelaySeconds = 0.0;
-    /** Latency-window capacity the quantile is computed over. */
-    std::uint64_t windowSize = 512;
     /** Completions between hedge-delay refreshes (the quantile
      *  re-sort stays off the per-event path); must be >= 1. */
     std::uint64_t refreshInterval = 8;

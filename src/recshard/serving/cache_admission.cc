@@ -44,8 +44,7 @@ class TinyLfuAdmission final : public CacheAdmission
   public:
     TinyLfuAdmission(const TinyLfuOptions &opt,
                      std::uint64_t capacity_rows)
-        : depth(std::max<std::uint32_t>(1, opt.sketchDepth)),
-          width(nextPow2(opt.sketchWidth
+        : width(nextPow2(opt.sketchWidth
                              ? opt.sketchWidth
                              : std::max<std::uint64_t>(
                                    64, 8 * capacity_rows))),
@@ -56,7 +55,7 @@ class TinyLfuAdmission final : public CacheAdmission
                                                16 * capacity_rows)),
           useDoorkeeper(opt.doorkeeper)
     {
-        counters.assign(depth * width, 0);
+        counters.assign(kDepth * width, 0);
         if (useDoorkeeper)
             door.assign(width, false);
     }
@@ -69,7 +68,7 @@ class TinyLfuAdmission final : public CacheAdmission
             // doorkeeper; only repeat visitors reach the sketch.
             doorAdd(key);
         } else {
-            for (std::uint32_t d = 0; d < depth; ++d) {
+            for (std::uint32_t d = 0; d < kDepth; ++d) {
                 std::uint8_t &c = counters[slot(d, key)];
                 if (c < kMaxCount)
                     ++c;
@@ -93,7 +92,7 @@ class TinyLfuAdmission final : public CacheAdmission
     frequency(std::uint64_t key) const override
     {
         std::uint64_t est = kMaxCount;
-        for (std::uint32_t d = 0; d < depth; ++d)
+        for (std::uint32_t d = 0; d < kDepth; ++d)
             est = std::min<std::uint64_t>(est,
                                           counters[slot(d, key)]);
         if (useDoorkeeper && doorHas(key))
@@ -146,12 +145,13 @@ class TinyLfuAdmission final : public CacheAdmission
         ops = 0;
     }
 
-    const std::uint32_t depth;
+    /** Count-min sketch rows (independent hash functions). */
+    static constexpr std::uint32_t kDepth = 4;
     const std::uint64_t width;
     const std::uint64_t mask;
     const std::uint64_t sample;
     const bool useDoorkeeper;
-    std::vector<std::uint8_t> counters; //!< depth x width
+    std::vector<std::uint8_t> counters; //!< kDepth x width
     std::vector<bool> door;             //!< doorkeeper bloom bits
     std::uint64_t ops = 0;              //!< accesses since aging
 };

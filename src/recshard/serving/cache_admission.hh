@@ -28,7 +28,7 @@
  * Policies are selected by name through CacheAdmissionConfig (see
  * ShardServerConfig::admission), the same way planners are selected
  * through the PlannerRegistry — so admission policies are comparable
- * across serving, routing, pipeline, and bench layers.
+ * across serving, routing, replan and bench layers.
  *
  * Each ShardServer owns one policy instance next to its LruRowCache
  * and hands it only the CDFs of its own tables (the rest are null),
@@ -52,8 +52,6 @@ namespace recshard {
 /** TinyLFU sketch and aging knobs ("tinylfu" policy only). */
 struct TinyLfuOptions
 {
-    /** Count-min sketch rows (independent hash functions). */
-    std::uint32_t sketchDepth = 4;
     /**
      * Counters per sketch row; rounded up to a power of two.
      * 0 sizes automatically: 8x the cache capacity (min 64).
@@ -86,9 +84,8 @@ struct CacheAdmissionConfig
      * Per-EMB profiled CDFs, indexed by feature id ("cdf-gated"
      * only; borrowed, must outlive the server). A null entry, and
      * any row at or beyond its CDF's hashSize(), admits nothing.
-     * ShardServer nulls the tables of other GPUs. The pipeline and
-     * the report harness fill this automatically from their own
-     * profiles; standalone callers use collectCdfs().
+     * ShardServer nulls the tables of other GPUs. Callers fill it
+     * from their profiles with collectCdfs().
      */
     std::vector<const FrequencyCdf *> cdfs;
 };

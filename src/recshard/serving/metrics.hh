@@ -187,11 +187,6 @@ class ShardedServingMetrics
     /** Shard `i`'s collector; each thread must use its own. */
     ServingMetrics &shard(std::uint32_t i);
 
-    std::uint32_t numShards() const
-    {
-        return static_cast<std::uint32_t>(shards.size());
-    }
-
     /** All shards folded into one collector (join threads first). */
     ServingMetrics merged() const;
 

@@ -77,8 +77,7 @@ buildShardMilp(const ModelSpec &model,
     auto &vP = out.vP;
     for (int m = 0; m < M; ++m) {
         for (int j = 0; j < J; ++j) {
-            const double ub =
-                opts.symmetryBreak && m > j ? 0.0 : 1.0;
+            const double ub = m > j ? 0.0 : 1.0;
             vP[m][j] = lp.addVariable(0, ub, 0,
                                       "p_" + std::to_string(m) + "_" +
                                       std::to_string(j));

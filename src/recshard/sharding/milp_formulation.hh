@@ -32,7 +32,6 @@ struct MilpShardOptions
     unsigned icdfSteps = 10;          //!< ICDF linearization steps
     AblationSwitches ablation;
     EmbCostModel::Combine combine = EmbCostModel::Combine::Sum;
-    bool symmetryBreak = true;        //!< EMB j only on GPUs 0..j
     MilpOptions milp;
     /** Refuse to build instances bigger than this many binaries. */
     int maxBinaries = 4000;

@@ -52,15 +52,6 @@ ShardingPlan::tierBytesOnGpu(const ModelSpec &model,
     return bytes;
 }
 
-std::uint32_t
-ShardingPlan::tablesOnGpu(std::uint32_t gpu) const
-{
-    std::uint32_t count = 0;
-    for (const auto &t : tables)
-        count += t.gpu == gpu;
-    return count;
-}
-
 std::uint64_t
 ShardingPlan::totalHbmRows() const
 {

@@ -68,9 +68,6 @@ struct ShardingPlan
                                  std::uint32_t gpu,
                                  std::size_t tier) const;
 
-    /** Number of EMBs assigned to one GPU (Fig. 12 grouping). */
-    std::uint32_t tablesOnGpu(std::uint32_t gpu) const;
-
     /** Total rows the plan keeps in HBM across all EMBs. */
     std::uint64_t totalHbmRows() const;
 

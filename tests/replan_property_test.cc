@@ -29,8 +29,7 @@
  *   - churn model: zero churn is bit-identical to the historical
  *     stream at every month; nonzero churn leaves month 0
  *     untouched and rotates later months;
- *   - the routed-trace binary format round-trips identically;
- *   - pipeline phase 6 wires through end to end.
+ *   - the routed-trace binary format round-trips identically.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +39,6 @@
 #include <sstream>
 #include <vector>
 
-#include "recshard/core/pipeline.hh"
 #include "recshard/datagen/model_zoo.hh"
 #include "recshard/profiler/profiler.hh"
 #include "recshard/replan/live.hh"
@@ -634,43 +632,6 @@ TEST(ReplanTrace, ReadRejectsDecreasingArrivals)
     trace.queries[1].query.arrival = 0.0005;
     EXPECT_DEATH(rereadTrace(trace),
                  "query 1 arrives at .*before query 0");
-}
-
-TEST(ReplanPipeline, PhaseSixWiresThrough)
-{
-    const ModelSpec model = driftableModel(4, 3000, 29);
-    SyntheticDataset data(model, 29 * 2654435761ULL + 1);
-    DriftModel churn;
-    churn.hotChurnPerMonth = 0.05;
-    data.setDrift(churn);
-
-    SystemSpec system = SystemSpec::paper(2, 1.0);
-    system.hbm.capacityBytes = static_cast<std::uint64_t>(
-        0.25 * static_cast<double>(model.totalBytes()) /
-        system.numGpus);
-    system.uvm.capacityBytes = model.totalBytes();
-
-    PipelineOptions opts;
-    opts.profileSamples = 8000;
-    opts.evaluateReplanning = true;
-    opts.replanning.numNodes = 2;
-    opts.replanning.numQueries = 1200;
-    opts.replanning.schedule.months = 3;
-    opts.replanning.load.qps = 30000.0;
-    opts.replanning.load.meanQuerySamples = 4.0;
-    opts.replanning.replan.epochQueries = 400;
-    opts.replanning.replan.server.cacheRows = 64;
-
-    const PipelineResult result =
-        RecShardPipeline(data, system, opts).run();
-    EXPECT_EQ(result.replan.name, "live-replan");
-    EXPECT_EQ(result.replan.queries, 1200u);
-    EXPECT_EQ(result.replan.servedQueries +
-                  result.replan.shedQueries,
-              1200u);
-    EXPECT_GT(result.replan.durationSeconds, 0.0);
-    EXPECT_GE(result.replan.epochs.size(), 3u);
-    EXPECT_GT(result.replanSeconds, 0.0);
 }
 
 } // namespace

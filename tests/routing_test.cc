@@ -318,11 +318,11 @@ TEST(Hedging, SingleNodeClusterNeverHedges)
 TEST(Hedging, RateCountsOnlyDuplicatedQueries)
 {
     const RoutingFixture &fx = fixture();
-    // A hedge delay floor far beyond every latency: timers always
-    // find their query complete, so nothing ever duplicates.
+    // Hedging arms only after more completions than the trace has
+    // queries: no timer is ever set, so nothing ever duplicates.
     RouterConfig rc =
         fx.routerConfig(RoutingPolicy::RoundRobin, true);
-    rc.hedge.minDelaySeconds = 10.0;
+    rc.hedge.minSamples = fx.trace.queries.size() + 1;
     const RoutingReport never =
         Router(fx.model, fx.cluster, rc).route(fx.trace);
     EXPECT_EQ(never.hedgedQueries, 0u);
