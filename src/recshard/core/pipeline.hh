@@ -72,8 +72,6 @@ class RecShardPipeline
     /** Run all three phases. */
     PipelineResult run() const;
 
-    const SystemSpec &system() const { return sys; }
-
   private:
     const SyntheticDataset &data;
     SystemSpec sys;
